@@ -20,9 +20,12 @@ check:
 # (regression gate for the quote-engine fast path), then the SAM solver
 # benchmarks (sparse LU vs dense reference kernel) into BENCH_solver.json
 # (the perf trajectory of the simplex core across PRs), then the
-# admission-service micro-benchmarks plus a closed-loop loadgen run into
-# BENCH_service.json — gated at the dev-box acceptance floor of 1M
-# quote-or-admit ops/sec and the measured alloc footprints — and finally
+# route-resolution and admission-service micro-benchmarks (in process and
+# through the HTTP handler on the paper topology) plus a closed-loop
+# loadgen run into BENCH_service.json — gated at the dev-box acceptance
+# floor of 1M quote-or-admit ops/sec and the measured alloc footprints
+# (Yen's k-shortest paths at a fixed ceiling of 32, the HTTP quote and
+# admit at their measured 42 and 43 plus 25%) — and finally
 # a small instrumented run whose metrics snapshot (BENCH_metrics.json)
 # tracks the control loop's operational counters across PRs.
 bench:
@@ -31,10 +34,14 @@ bench:
 		$(GO) run ./cmd/benchjson -out BENCH_admission.json
 	$(GO) test -run '^$$' -bench 'SAMSolve|SAMResolveWarm' -benchmem ./internal/sched | \
 		$(GO) run ./cmd/benchjson -out BENCH_solver.json
-	{ $(GO) test -run '^$$' -bench 'Service' -benchmem ./internal/serve && \
+	{ $(GO) test -run '^$$' -bench 'KShortestPaths' -benchmem ./internal/graph && \
+	  $(GO) test -run '^$$' -bench 'Service|HTTP' -benchmem ./internal/serve && \
 	  $(GO) run ./cmd/loadgen -duration 3s -workers 4 -shards 8 ; } | \
 		$(GO) run ./cmd/benchjson -out BENCH_service.json \
 			-gate 'BenchmarkLoadgen/closed_loop:ops/sec>=1000000' \
 			-gate 'BenchmarkServiceQuote:allocs/op<=4' \
-			-gate 'BenchmarkServiceAdmit/per_shard:allocs/op<=8'
+			-gate 'BenchmarkServiceAdmit/per_shard:allocs/op<=8' \
+			-gate 'BenchmarkKShortestPaths/PaperWAN:allocs/op<=32' \
+			-gate 'BenchmarkHTTPQuote/PaperWAN:allocs/op<=52' \
+			-gate 'BenchmarkHTTPAdmit/PaperWAN:allocs/op<=53'
 	$(GO) run ./cmd/experiments -exp table4 -scale small -metrics BENCH_metrics.json

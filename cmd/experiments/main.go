@@ -259,20 +259,13 @@ func main() {
 		fmt.Println("experiments:", strings.Join(names, " "), "| all")
 		return
 	}
-	var sc exp.Scale
-	switch *scale {
-	case "small":
-		sc = exp.Small()
-	case "default":
-		sc = exp.Default()
-	case "medium":
-		sc = exp.Medium()
-	case "paper":
-		sc = exp.Paper()
-		fmt.Fprintln(os.Stderr, "warning: paper scale builds very large LPs; expect hours per experiment")
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := exp.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if sc.Name == "paper" {
+		fmt.Fprintln(os.Stderr, "warning: paper scale builds very large LPs; expect hours per experiment")
 	}
 	// Solver overrides apply to every LP the experiments build (SAM, PC,
 	// oracle baselines alike); invalid values are rejected here rather
@@ -313,7 +306,7 @@ func main() {
 	// wall-clock stamps, which reflect the concurrent schedule).
 	bufs := make([]bytes.Buffer, len(names))
 	durs := make([]time.Duration, len(names))
-	err := exp.ParallelFor(len(names), func(i int) error {
+	err = exp.ParallelFor(len(names), func(i int) error {
 		start := time.Now()
 		rc := &runCtx{out: &bufs[i], plot: *plot}
 		if err := experiments[names[i]](rc, sc, *seed); err != nil {

@@ -45,7 +45,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sc, err := scaleByName(*scale)
+	sc, err := exp.ScaleByName(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -182,18 +182,4 @@ func fmtNs(ns float64) string {
 		return ">8.4ms"
 	}
 	return time.Duration(int64(ns)).String()
-}
-
-func scaleByName(name string) (exp.Scale, error) {
-	switch name {
-	case "small":
-		return exp.Small(), nil
-	case "default":
-		return exp.Default(), nil
-	case "medium":
-		return exp.Medium(), nil
-	case "paper":
-		return exp.Paper(), nil
-	}
-	return exp.Scale{}, fmt.Errorf("unknown scale %q (want small, default, medium, or paper)", name)
 }

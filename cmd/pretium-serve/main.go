@@ -38,7 +38,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sc, err := scaleByName(*scale)
+	sc, err := exp.ScaleByName(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -55,18 +55,4 @@ func main() {
 	if err := http.ListenAndServe(*addr, serve.Handler(svc, m)); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func scaleByName(name string) (exp.Scale, error) {
-	switch name {
-	case "small":
-		return exp.Small(), nil
-	case "default":
-		return exp.Default(), nil
-	case "medium":
-		return exp.Medium(), nil
-	case "paper":
-		return exp.Paper(), nil
-	}
-	return exp.Scale{}, fmt.Errorf("unknown scale %q (want small, default, medium, or paper)", name)
 }

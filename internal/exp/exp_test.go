@@ -24,6 +24,18 @@ func TestSetupDeterministic(t *testing.T) {
 	}
 }
 
+func TestScaleByName(t *testing.T) {
+	for _, name := range []string{"small", "default", "medium", "paper"} {
+		sc, err := ScaleByName(name)
+		if err != nil || sc.Name != name {
+			t.Fatalf("ScaleByName(%q) = %q, %v", name, sc.Name, err)
+		}
+	}
+	if _, err := ScaleByName("huge"); err == nil || !strings.Contains(err.Error(), "huge") {
+		t.Fatalf("unknown scale: err = %v", err)
+	}
+}
+
 func TestSetupOptions(t *testing.T) {
 	base := NewSetup(Small())
 	loaded := NewSetup(Small(), WithLoad(2))

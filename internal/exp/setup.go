@@ -6,6 +6,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"pretium/internal/cost"
 	"pretium/internal/graph"
 	"pretium/internal/lp"
@@ -120,6 +122,21 @@ func Paper() Scale {
 		GridLevels:       4,
 		MeanUsageCost:    10,
 	}
+}
+
+// ScaleByName returns the named preset: small, default, medium, or paper.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "small":
+		return Small(), nil
+	case "default":
+		return Default(), nil
+	case "medium":
+		return Medium(), nil
+	case "paper":
+		return Paper(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want small, default, medium, or paper)", name)
 }
 
 // Setup is one fully-instantiated experiment input: topology, traffic

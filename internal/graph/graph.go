@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // NodeID identifies a node (datacenter or site) within a Network.
@@ -51,6 +52,8 @@ type Network struct {
 	out    [][]EdgeID // adjacency: outgoing edge IDs per node
 	in     [][]EdgeID
 	byName map[string]NodeID
+
+	scratch sync.Pool // *pathScratch for the path kernel (paths.go)
 }
 
 // New returns an empty network.

@@ -106,6 +106,32 @@ func (s *State) Clone() *State {
 	return c
 }
 
+// SealedView returns a sealed snapshot of a published state for
+// lock-free readers. The view owns copies of what Reserve still changes
+// on s (Reserved and the segment caches) and shares the prices,
+// set-asides and outage overlay with s, which no mutator may change
+// once s is published; it costs half a Clone. SealedView panics unless
+// s is published (MarkPublished) and not sealed.
+func (s *State) SealedView() *State {
+	if s.mut != statePublished {
+		panic("pricing: SealedView of a " + s.mut.String() + " state; only a published state's planning inputs are frozen")
+	}
+	return &State{
+		Net:       s.Net,
+		Horizon:   s.Horizon,
+		Adjust:    s.Adjust,
+		BasePrice: s.BasePrice,
+		Reserved:  cloneMatrix(s.Reserved),
+		HighPri:   s.HighPri,
+		segPrice:  append([]float64(nil), s.segPrice...),
+		segRoom:   append([]float64(nil), s.segRoom...),
+		outTotal:  s.outTotal,
+		outBySrc:  s.outBySrc,
+		outVer:    s.outVer,
+		mut:       stateSealed,
+	}
+}
+
 func cloneMatrix(m [][]float64) [][]float64 {
 	out := make([][]float64, len(m))
 	for i, row := range m {

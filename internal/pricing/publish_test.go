@@ -2,6 +2,7 @@ package pricing
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pretium/internal/graph"
@@ -141,6 +142,47 @@ func TestCloneIndependence(t *testing.T) {
 				t.Fatalf("clone cache incoherent at (%d,%d): room %v vs %v", e, ts, a, b)
 			}
 		}
+	}
+}
+
+// A sealed view reads exactly like its published state, keeps its own
+// room picture while Reserve moves the state's, and shares the frozen
+// planning inputs instead of copying them.
+func TestSealedView(t *testing.T) {
+	st := publishTestState(t)
+	mustPanic(t, "SealedView of a mutable state", func() { st.SealedView() })
+	st.MarkPublished()
+	v := st.SealedView()
+	if !v.Sealed() {
+		t.Fatal("SealedView must return a sealed state")
+	}
+	mustPanic(t, "SealedView of a sealed state", func() { v.SealedView() })
+	mustPanic(t, "Reserve on the view", func() { v.Reserve(graph.Path{0}, 0, 1) })
+	if &v.BasePrice[0][0] != &st.BasePrice[0][0] || &v.HighPri[0][0] != &st.HighPri[0][0] {
+		t.Fatal("view must share the frozen prices and set-asides")
+	}
+
+	type cell struct{ price, room, res, cap float64 }
+	snap := func(s *State) []cell {
+		var out []cell
+		for e := 0; e < s.Net.NumEdges(); e++ {
+			for ts := 0; ts < s.Horizon; ts++ {
+				id := graph.EdgeID(e)
+				out = append(out, cell{s.MarginalPrice(id, ts, 0), s.segmentRoom(id, ts, 0), s.Reserved[e][ts], s.Capacity(id, ts)})
+			}
+		}
+		return out
+	}
+	before := snap(st)
+	if got := snap(v); !slices.Equal(got, before) {
+		t.Fatalf("view reads differently from its state:\n%v\n%v", got, before)
+	}
+	st.Reserve(graph.Path{0, 1}, 2, 70) // crosses the premium threshold
+	if got := snap(v); !slices.Equal(got, before) {
+		t.Fatal("view moved when the published state reserved room")
+	}
+	if slices.Equal(snap(st), before) {
+		t.Fatal("Reserve on the published state changed nothing")
 	}
 }
 

@@ -404,10 +404,11 @@ func (s *State) SetPricesWindow(from int, window [][]float64) error {
 	if w == 0 {
 		return fmt.Errorf("pricing: empty price window")
 	}
-	for t := from; t < s.Horizon; t++ {
-		idx := (t - from) % w
-		for e := range window {
-			s.BasePrice[e][t] = window[e][idx]
+	// Edge by edge, so each row and its cache entries are walked in
+	// order; every cell is independent of the others.
+	for e, row := range window {
+		for t := from; t < s.Horizon; t++ {
+			s.BasePrice[e][t] = row[(t-from)%w]
 			s.refreshSeg(graph.EdgeID(e), t)
 		}
 	}

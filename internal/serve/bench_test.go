@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"pretium/internal/graph"
@@ -143,4 +148,81 @@ func BenchmarkServicePublish(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// paperHTTPWorld is the serving setup on the paper topology: a
+// constructor for a fresh handler over PaperWAN(1) with 288 five-minute
+// steps, 8 shards and initial price 1, plus 256 encoded wire requests
+// between random ordered node pairs with 30 min – 3 h windows and values
+// around the uncongested route price.
+func paperHTTPWorld(b *testing.B) (func() http.Handler, [][]byte) {
+	b.Helper()
+	const horizon = 288
+	net := graph.PaperWAN(1)
+	r := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, 256)
+	for i := range bodies {
+		src := r.Intn(net.NumNodes())
+		dst := r.Intn(net.NumNodes() - 1)
+		if dst >= src {
+			dst++
+		}
+		hops := len(net.ShortestPath(graph.NodeID(src), graph.NodeID(dst)))
+		start := r.Intn(horizon - 36)
+		body, err := json.Marshal(wireRequest{
+			ID: i, Src: net.Node(graph.NodeID(src)).Name, Dst: net.Node(graph.NodeID(dst)).Name,
+			Start: start, End: start + 6 + r.Intn(31),
+			Demand: 1 + 19*r.Float64(), Value: float64(hops) * (0.75 + r.Float64()),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	mk := func() http.Handler {
+		svc, err := New(pricing.NewState(net, horizon, 1), Config{Shards: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return Handler(svc, nil)
+	}
+	return mk, bodies
+}
+
+// serveBench drives one POST per iteration through a handler from mk in
+// process (no sockets): request decode, route resolution, the service
+// call, and response encode. Every fresh iterations it swaps in a new
+// handler, timer stopped, so admissions keep landing on a partly empty
+// network instead of saturating it; fresh <= 0 keeps one handler.
+func serveBench(b *testing.B, path string, fresh int) {
+	mk, bodies := paperHTTPWorld(b)
+	h := mk()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fresh > 0 && i > 0 && i%fresh == 0 {
+			b.StopTimer()
+			h = mk()
+			b.StartTimer()
+		}
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(bodies[i%len(bodies)]))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	reportOps(b)
+}
+
+// BenchmarkHTTPQuote is one wire quote on the paper topology, the
+// request path end to end minus the socket.
+func BenchmarkHTTPQuote(b *testing.B) {
+	b.Run("PaperWAN", func(b *testing.B) { serveBench(b, "/v1/quote", 0) })
+}
+
+// BenchmarkHTTPAdmit is one wire admission on the paper topology:
+// quote, sequenced turn, purchase, and commit behind the codec.
+func BenchmarkHTTPAdmit(b *testing.B) {
+	b.Run("PaperWAN", func(b *testing.B) { serveBench(b, "/v1/admit", 4096) })
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 
 	"pretium/internal/obs"
@@ -33,6 +34,11 @@ type wireRequest struct {
 // DefaultMaxRoutes is the route-set size used when a wire request does
 // not name one.
 const DefaultMaxRoutes = 3
+
+// MaxRoutesLimit is the largest max_routes a wire request may ask for. It
+// bounds the route work one request can trigger: without it a large k
+// makes Yen's algorithm enumerate loopless paths until none are left.
+const MaxRoutesLimit = 16
 
 type wireSegment struct {
 	Bytes float64 `json:"bytes"`
@@ -124,15 +130,21 @@ func (h *httpServer) decodeRequest(r *http.Request) (*traffic.Request, error) {
 	if src == dst {
 		return nil, fmt.Errorf("src and dst are the same node")
 	}
-	if in.Start < 0 || in.End < in.Start || in.Start >= h.svc.Horizon() {
+	if in.Start < 0 || in.End < in.Start || in.End >= h.svc.Horizon() {
 		return nil, fmt.Errorf("window [%d,%d] outside horizon %d", in.Start, in.End, h.svc.Horizon())
 	}
-	if in.Demand <= 0 {
-		return nil, fmt.Errorf("demand must be positive")
+	if !(in.Demand > 0) || math.IsInf(in.Demand, 0) {
+		return nil, fmt.Errorf("demand must be positive and finite")
+	}
+	if !(in.Value >= 0) || math.IsInf(in.Value, 0) {
+		return nil, fmt.Errorf("value must be non-negative and finite")
 	}
 	k := in.MaxRoutes
 	if k <= 0 {
 		k = DefaultMaxRoutes
+	}
+	if k > MaxRoutesLimit {
+		return nil, fmt.Errorf("max_routes %d above the limit %d", k, MaxRoutesLimit)
 	}
 	routes := net.KShortestPaths(src, dst, k)
 	return &traffic.Request{
@@ -197,28 +209,26 @@ func (h *httpServer) publish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	var plan *pricing.State
-	adopt := false
+	var apply func(next *pricing.State) error
 	if in.BasePrice != nil || in.Reserved != nil {
-		// Overlay the provided fields on the current live picture so a
-		// price-only publish keeps set-asides, outages, and room intact.
-		plan = h.svc.DrainState()
-		if in.BasePrice != nil {
-			if err := plan.SetPricesWindow(0, in.BasePrice); err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
+		// Overlay the provided fields on the next epoch's copy of the
+		// live picture, so a price-only publish keeps set-asides,
+		// outages, and room intact. On a validation error the copy is
+		// dropped and nothing is installed.
+		apply = func(next *pricing.State) error {
+			if in.BasePrice != nil {
+				if err := next.SetPricesWindow(0, in.BasePrice); err != nil {
+					return err
+				}
 			}
-		}
-		if in.Reserved != nil {
-			if err := plan.SetReserved(in.Reserved); err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
+			if in.Reserved != nil {
+				return next.SetReserved(in.Reserved)
 			}
-			adopt = true
+			return nil
 		}
 	}
-	if err := h.svc.Publish(plan, adopt); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+	if err := h.svc.publish(apply); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]uint64{"epoch": h.svc.Epoch()})

@@ -182,7 +182,7 @@ func TestHTTPStateAndMetrics(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	_, h, _, _ := httpWorld(t)
+	_, h, svc, _ := httpWorld(t)
 	cases := []struct {
 		name string
 		body any
@@ -194,6 +194,13 @@ func TestHTTPErrors(t *testing.T) {
 		{"window past horizon", wireRequest{Src: "a", Dst: "c", Start: 99, End: 100, Demand: 1}},
 		{"no demand", wireRequest{Src: "a", Dst: "c", Start: 0, End: 1, Demand: 0}},
 		{"junk", map[string]any{"demand": "lots"}},
+		{"end at horizon", wireRequest{Src: "a", Dst: "c", Start: 0, End: 6, Demand: 1}},
+		{"end far past horizon", wireRequest{Src: "a", Dst: "c", Start: 0, End: 1_000_000, Demand: 1}},
+		{"negative value", wireRequest{Src: "a", Dst: "c", Start: 0, End: 1, Demand: 1, Value: -5}},
+		{"value overflows", json.RawMessage(`{"src":"a","dst":"c","start":0,"end":1,"demand":1,"value":1e999}`)},
+		{"demand overflows", json.RawMessage(`{"src":"a","dst":"c","start":0,"end":1,"demand":1e999}`)},
+		{"max_routes above limit", wireRequest{Src: "a", Dst: "c", Start: 0, End: 1, Demand: 1, MaxRoutes: MaxRoutesLimit + 1}},
+		{"max_routes 2^20", wireRequest{Src: "a", Dst: "c", Start: 0, End: 1, Demand: 1, MaxRoutes: 1 << 20}},
 	}
 	for _, tc := range cases {
 		for _, path := range []string{"/v1/quote", "/v1/admit"} {
@@ -210,5 +217,30 @@ func TestHTTPErrors(t *testing.T) {
 	w, _ := doJSON(t, h, "POST", "/v1/publish", wirePublishRequest{BasePrice: [][]float64{{1}}})
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("ragged publish: status %d", w.Code)
+	}
+	if svc.Epoch() != 0 {
+		t.Fatalf("rejected publish installed epoch %d", svc.Epoch())
+	}
+}
+
+// The wire checks reject requests that are out of range, not ones at the
+// edge of it.
+func TestHTTPAcceptsBoundaryRequests(t *testing.T) {
+	_, h, _, _ := httpWorld(t)
+	cases := []struct {
+		name string
+		body wireRequest
+	}{
+		{"end on last step", wireRequest{Src: "a", Dst: "c", Start: 5, End: 5, Demand: 1, Value: 1}},
+		{"zero value", wireRequest{Src: "a", Dst: "c", Start: 0, End: 1, Demand: 1}},
+		{"max_routes at limit", wireRequest{Src: "a", Dst: "c", Start: 0, End: 1, Demand: 1, MaxRoutes: MaxRoutesLimit}},
+		{"max_routes negative means default", wireRequest{Src: "a", Dst: "c", Start: 0, End: 1, Demand: 1, MaxRoutes: -1}},
+	}
+	for _, tc := range cases {
+		for _, path := range []string{"/v1/quote", "/v1/admit"} {
+			if w, _ := doJSON(t, h, "POST", path, tc.body); w.Code != http.StatusOK {
+				t.Fatalf("%s on %s: status %d, want 200: %s", tc.name, path, w.Code, w.Body)
+			}
+		}
 	}
 }

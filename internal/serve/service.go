@@ -123,10 +123,8 @@ func New(st *pricing.State, cfg Config) (*Service, error) {
 		s.mEpoch = cfg.Obs.Gauge("serve.epoch")
 	}
 
-	view := st.Clone()
 	st.MarkPublished()
-	view.Seal()
-	s.cur.Store(&epoch{n: 0, live: st, view: view})
+	s.cur.Store(&epoch{n: 0, live: st, view: st.SealedView()})
 	return s, nil
 }
 
@@ -273,6 +271,19 @@ func (s *Service) AdmitAll(reqs []*traffic.Request) []*pricing.Admission {
 // against the old epoch settle first, queued ones run against the new
 // state, and nothing ever commits into a stale epoch.
 func (s *Service) Publish(plan *pricing.State, adoptRoom bool) error {
+	if plan == nil {
+		return s.publish(nil)
+	}
+	return s.publish(func(next *pricing.State) error {
+		return next.CopyPricingFrom(plan, adoptRoom)
+	})
+}
+
+// publish builds and installs the next epoch under one drain barrier:
+// next starts as a clone of the current live state and apply (when
+// non-nil) edits it in place with the planning mutators. When apply
+// fails, next is dropped and the current epoch stays installed.
+func (s *Service) publish(apply func(next *pricing.State) error) error {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 
@@ -284,14 +295,13 @@ func (s *Service) Publish(plan *pricing.State, adoptRoom bool) error {
 
 	old := s.cur.Load()
 	next := old.live.Clone()
-	if plan != nil {
-		if err := next.CopyPricingFrom(plan, adoptRoom); err != nil {
+	if apply != nil {
+		if err := apply(next); err != nil {
 			return err
 		}
 	}
-	view := next.Clone()
 	next.MarkPublished()
-	view.Seal()
+	view := next.SealedView()
 	s.cur.Store(&epoch{n: old.n + 1, live: next, view: view})
 	s.mPublishes.Inc()
 	s.mEpoch.Set(float64(old.n + 1))
