@@ -18,8 +18,9 @@ check:
 # bench runs the root experiment benchmarks, then the admission-path
 # micro-benchmarks with a machine-readable report in BENCH_admission.json
 # (regression gate for the quote-engine fast path), then the SAM solver
-# benchmarks (sparse LU vs dense reference kernel) into BENCH_solver.json
-# (the perf trajectory of the simplex core across PRs), then the
+# benchmarks (sparse LU vs dense reference kernel, cold, warm re-solve and
+# Rebind successor step) into BENCH_solver.json (the perf trajectory of
+# the simplex core across PRs, gated on the Paper warm pivot counts), then the
 # route-resolution and admission-service micro-benchmarks (in process and
 # through the HTTP handler on the paper topology) plus a closed-loop
 # loadgen run into BENCH_service.json — gated at the dev-box acceptance
@@ -32,8 +33,10 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 	$(GO) test -run '^$$' -bench 'QuoteMenu|Admit' -benchmem ./internal/pricing | \
 		$(GO) run ./cmd/benchjson -out BENCH_admission.json
-	$(GO) test -run '^$$' -bench 'SAMSolve|SAMResolveWarm' -benchmem ./internal/sched | \
-		$(GO) run ./cmd/benchjson -out BENCH_solver.json
+	$(GO) test -run '^$$' -bench 'SAMSolve|SAMResolveWarm|SAMStepWarm' -benchmem ./internal/sched | \
+		$(GO) run ./cmd/benchjson -out BENCH_solver.json \
+			-gate 'BenchmarkSAMResolveWarm/Paper/sparse:pivots<=16' \
+			-gate 'BenchmarkSAMStepWarm/Paper:pivots<=64'
 	{ $(GO) test -run '^$$' -bench 'KShortestPaths' -benchmem ./internal/graph && \
 	  $(GO) test -run '^$$' -bench 'Service|HTTP' -benchmem ./internal/serve && \
 	  $(GO) run ./cmd/loadgen -duration 3s -workers 4 -shards 8 ; } | \

@@ -424,6 +424,39 @@ func TestIncrementalSAMEquivalent(t *testing.T) {
 	}
 }
 
+// TestIncrementalSAMWarmStarts: with the paper-scale SAM path on and a
+// demand set that stays the same from step to step, every successor step
+// Rebinds the retained model, and its presolved solve must start from the
+// previous step's basis. Pinning the past step's flows to zero must not
+// shift the presolve reduction under the basis.
+func TestIncrementalSAMWarmStarts(t *testing.T) {
+	n, a, b := simpleNet()
+	// Three long transfers admitted at t=0 that no step can finish: the live
+	// set, its intervals and the horizon stay fixed for the whole run.
+	reqs := []*traffic.Request{
+		mkReq(n, 0, a, b, 0, 0, 7, 60, 5),
+		mkReq(n, 1, a, b, 0, 0, 7, 50, 4),
+		mkReq(n, 2, a, b, 0, 0, 7, 40, 3),
+	}
+	cfg := smallConfig(8)
+	cfg.IncrementalSAM = true
+	c, err := New(n, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.samStats
+	if st.Solves < 4 {
+		t.Fatalf("only %d SAM solves; the scenario should re-plan every step", st.Solves)
+	}
+	if st.WarmStarts == 0 {
+		t.Errorf("IncrementalSAM: %d SAM solves, none warm-started", st.Solves)
+	}
+	t.Logf("SAM solves %d, warm starts %d, pivots %d", st.Solves, st.WarmStarts, st.Iterations)
+}
+
 func TestAblationOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end run")

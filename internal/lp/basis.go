@@ -24,6 +24,7 @@ import "math"
 type Basis struct {
 	m, n    int    // standardized row/column counts
 	sig     uint64 // signature of the standardization (layout and matrix)
+	signs   uint64 // fingerprint of its row normalization signs
 	basic   []int  // basic standardized column per row
 	atUpper []bool // nonbasic-at-upper flag per standardized column
 
@@ -32,8 +33,8 @@ type Basis struct {
 	// capture and cloned again on install, so no later solve — on the
 	// originating state or any state the basis is installed into — can
 	// mutate the snapshot. Because sig covers the constraint matrix
-	// entries, a signature match guarantees the same basis columns, so the
-	// factorization can be reinstalled directly — skipping the
+	// entries, a signature and row-sign match guarantees the same basis
+	// matrix, so the factorization can be reinstalled directly — skipping the
 	// refactorization that would otherwise eat much of the warm-start
 	// saving. Its age (product-form pivots since the last refactorization)
 	// rides along inside the snapshot so the periodic-refactorization
@@ -44,39 +45,86 @@ type Basis struct {
 
 // signature fingerprints the standardization: column count, row count, the
 // artificial-column pattern (which encodes the normalized senses), and
-// every constraint-matrix nonzero. Models that hash equal share an index
-// space AND a constraint matrix — only right-hand sides, bounds, and
-// objective may differ — so a captured basis, including its factorization,
-// can be transplanted verbatim.
+// every constraint-matrix nonzero, structural entries taken in the model's
+// own row orientation (before the b ≥ 0 normalization negated any row).
+// Models that hash equal share an index space and a constraint matrix up
+// to those row signs — only right-hand sides, bounds, objective, and the
+// signs of rows whose layout a flip leaves alone (equality rows) may
+// differ — so a captured basis names the same columns of an equivalent
+// matrix: D·B is nonsingular exactly when B is, for any diagonal D of
+// ±1. Its factorization is only valid for the same row signs, which
+// rowSigns fingerprints.
+//
+// Both hashes are computed once per standardization: m, n, art, cols and
+// rowSign are fixed when standardize returns (refreshStandard rewrites
+// only costs, bounds, shifts and b; any edit that would change a matrix
+// entry — a structural edit, a standardization-branch switch, a row-sign
+// flip — builds a new standard instead).
 func (std *standard) signature() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime64
+	std.fingerprint()
+	return std.sig
+}
+
+// rowSigns fingerprints the standardization's row normalization signs.
+func (std *standard) rowSigns() uint64 {
+	std.fingerprint()
+	return std.signs
+}
+
+// fingerprint computes sig and signs on first use.
+func (std *standard) fingerprint() {
+	if std.sigOK {
+		return
 	}
-	mix(uint64(std.m))
-	mix(uint64(std.n))
+	std.sigOK = true
+	h := newHasher()
+	h.mix(uint64(std.m))
+	h.mix(uint64(std.n))
 	for j, isArt := range std.art {
 		if isArt {
-			mix(uint64(j))
+			h.mix(uint64(j))
 		}
 	}
-	for _, col := range std.cols {
-		mix(uint64(len(col)))
+	for j, col := range std.cols {
+		h.mix(uint64(len(col)))
 		for _, e := range col {
-			mix(uint64(e.row))
-			mix(math.Float64bits(e.val))
+			v := e.val
+			if j < std.nStruct {
+				v *= std.rowSign[e.row]
+			}
+			h.mix(uint64(e.row))
+			h.mix(math.Float64bits(v))
 		}
 	}
-	return h
+	std.sig = uint64(h)
+	h = newHasher()
+	for _, sg := range std.rowSign {
+		h.mix(math.Float64bits(sg))
+	}
+	std.signs = uint64(h)
+}
+
+// hasher folds 64-bit words through a full-avalanche (splitmix64)
+// finalizer. A bare multiply-xor step (FNV over whole words) only carries
+// a difference upward: a flipped sign bit lands on bit 63 alone, so two
+// sign flips cancel, and a matrix with an even number of negated
+// coefficients hashed equal to the original.
+type hasher uint64
+
+func newHasher() hasher { return 14695981039346656037 }
+
+func (h *hasher) mix(v uint64) {
+	x := uint64(*h) ^ v
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	*h = hasher(x)
 }
 
 // matches reports whether the basis was captured from a standardization
-// with the same layout as std.
+// with the same layout and matrix (up to row signs) as std.
 func (b *Basis) matches(std *standard) bool {
 	return b != nil && b.m == std.m && b.n == std.n && b.sig == std.signature()
 }
@@ -90,6 +138,7 @@ func (st *state) capture() *Basis {
 		m:       st.std.m,
 		n:       st.std.n,
 		sig:     st.std.signature(),
+		signs:   st.std.rowSigns(),
 		basic:   append([]int(nil), st.basis...),
 		atUpper: append([]bool(nil), st.atUpper...),
 		fac:     st.fac.clone(),
@@ -150,11 +199,11 @@ func (st *state) installWarm(b *Basis) warmFit {
 			return warmNo // cannot rest at an infinite upper bound
 		}
 	}
-	if b.fac != nil && b.fac.denseKernel() == st.fac.denseKernel() &&
+	if b.fac != nil && b.fac.denseKernel() == st.fac.denseKernel() && b.signs == std.rowSigns() &&
 		b.fac.age() < st.refactorEvery && !b.fac.wantRefactor() {
-		// Reuse the captured factorization: the signature match guarantees
-		// the basis columns are identical, so the snapshot still represents
-		// B⁻¹ for the new model and the refactorization can be skipped
+		// Reuse the captured factorization: the signature and row-sign
+		// match guarantees the basis matrix is identical, so the snapshot
+		// still represents B⁻¹ for the new model and the refactorization can be skipped
 		// outright — the dominant cost of a warm install. The snapshot is
 		// cloned again so this solve's pivots cannot corrupt the caller's
 		// Basis (which may warm-start further solves). Only the basic

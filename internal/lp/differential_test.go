@@ -527,7 +527,7 @@ func TestDevexWeightResetAcrossRefactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := std.solve(Options{Pricing: PricingDevex}.withDefaults(std.n, std.m))
+	res := std.solve(Options{Pricing: PricingDevex}.withDefaults(std.n, std.m), newFactor(false))
 	if res.status != Optimal {
 		t.Fatalf("raw solve status %v", res.status)
 	}

@@ -102,3 +102,39 @@ func TestResidualHealthyOnCleanSolve(t *testing.T) {
 		t.Error("nonzero residual not flagged under a zero tolerance")
 	}
 }
+
+// singularKernel wraps a basis kernel whose every refactorization reports
+// a numerically singular basis.
+type singularKernel struct{ factor }
+
+func (singularKernel) refactorize(*standard, []int, time.Time) refactorOutcome {
+	return refactorSingular
+}
+
+// TestStagedStartSingularIsNotTimeLimit: a singular refactorization in the
+// middle of the staged cold start gives up with IterLimit, like one in the
+// classic loop. With no TimeBudget set it must never surface as TimeLimit
+// or count as a time-budget hit.
+func TestStagedStartSingularIsNotTimeLimit(t *testing.T) {
+	m := bigArtificialLP()
+	std, err := m.standardized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if std.m < stagedStartMinRows {
+		t.Fatalf("m = %d is below the staged-start gate %d", std.m, stagedStartMinRows)
+	}
+	opts := Options{RefactorEvery: 16}.withDefaults(std.n, std.m)
+	res := std.solve(opts, singularKernel{newFactor(false)})
+	var stats SolveStats
+	stats.record(res)
+	if res.iters < 16 {
+		t.Fatalf("gave up after %d pivots, before the first refactorization", res.iters)
+	}
+	if res.status != IterLimit {
+		t.Errorf("status %v, want %v", res.status, IterLimit)
+	}
+	if stats.TimeBudgetHits != 0 {
+		t.Errorf("TimeBudgetHits = %d with no TimeBudget set", stats.TimeBudgetHits)
+	}
+}

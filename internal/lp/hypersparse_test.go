@@ -483,3 +483,119 @@ func TestBigScaleSolveKKT(t *testing.T) {
 			warm.Iterations, sol.Iterations)
 	}
 }
+
+// bigArtificialLP builds a maximization staircase above stagedStartMinRows
+// with zero-rhs equality "load" rows and small-rhs GE rows — the row mix of
+// the SAM LP — so the staged cold start ends with some artificials still
+// basic at zero.
+func bigArtificialLP() *Model {
+	n := stagedStartMinRows + 101
+	r := rand.New(rand.NewSource(9))
+	m := NewModel()
+	m.SetMaximize(true)
+	vars := make([]Var, n)
+	for j := 0; j < n; j++ {
+		vars[j] = m.AddVar(0, 1+2*r.Float64(), 0.5+r.Float64(), "")
+	}
+	for i := 0; i < n-1; i++ {
+		m.AddConstraint(LE, 0.5+2*r.Float64(), Term{vars[i], 1}, Term{vars[i+1], 1})
+	}
+	for k := 0; k+1 < n; k += 7 {
+		load := m.AddVar(0, Inf, -0.05, "")
+		m.AddConstraint(EQ, 0, Term{vars[k], 1}, Term{vars[k+1], 1}, Term{load, -1})
+	}
+	for k := 3; k+2 < n; k += 11 {
+		m.AddConstraint(GE, 0.1, Term{vars[k], 1}, Term{vars[k+2], 1})
+	}
+	return m
+}
+
+// basicArtificials counts the artificial columns in a captured basis.
+func basicArtificials(std *standard, b *Basis) int {
+	n := 0
+	for _, j := range b.basic {
+		if std.art[j] {
+			n++
+		}
+	}
+	return n
+}
+
+// checkStrongDuality closes a KKT certificate: the dual objective — y·b
+// plus each nonzero reduced cost times the bound its variable rests on —
+// must equal the primal objective.
+func checkStrongDuality(t *testing.T, m *Model, sol *Solution, tag string) {
+	t.Helper()
+	const tol = 1e-6
+	dualObj := 0.0
+	for i := range m.rows {
+		dualObj += sol.Dual[i] * m.rhs[i]
+	}
+	for j := range m.obj {
+		d := sol.ReducedCost[j]
+		if math.Abs(d) <= tol {
+			continue
+		}
+		// In the model's orientation a variable whose reduced cost would
+		// improve the objective by growing rests at its upper bound.
+		bound := m.lo[j]
+		if (d > 0) == m.maximize {
+			bound = m.up[j]
+		}
+		if math.IsInf(bound, 0) {
+			t.Errorf("%s: var %d has reduced cost %g toward an infinite bound", tag, j, d)
+			continue
+		}
+		dualObj += d * bound
+	}
+	if math.Abs(dualObj-sol.Objective) > 1e-4*(1+math.Abs(sol.Objective)) {
+		t.Errorf("%s: duality gap: primal %g vs dual %g", tag, sol.Objective, dualObj)
+	}
+}
+
+// TestBigScaleWarmKeepsBasicArtificials: above stagedStartMinRows a warm
+// re-solve leaves the basic artificials the staged cold start left at zero
+// where they are, so a re-solve of the unchanged model from its own
+// optimal basis takes no pivots — and its answer still passes the full KKT
+// and strong-duality certificate.
+func TestBigScaleWarmKeepsBasicArtificials(t *testing.T) {
+	m := bigArtificialLP()
+	var stats SolveStats
+	cold, err := m.Solve(Options{Stats: &stats})
+	if err != nil || cold.Status != Optimal {
+		t.Fatalf("cold: %v %v", err, cold.Status)
+	}
+	std, err := m.standardized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if std.m < stagedStartMinRows {
+		t.Fatalf("m = %d is below the staged-start gate %d", std.m, stagedStartMinRows)
+	}
+	arts := basicArtificials(std, cold.Basis())
+	if arts == 0 {
+		t.Fatal("the cold basis carries no basic artificials; the test no longer reaches the path it pins")
+	}
+
+	warm, err := m.Solve(Options{Stats: &stats, WarmBasis: cold.Basis()})
+	if err != nil || warm.Status != Optimal {
+		t.Fatalf("warm: %v %v", err, warm.Status)
+	}
+	if stats.WarmStarts != 1 {
+		t.Fatalf("WarmStarts = %d, want 1", stats.WarmStarts)
+	}
+	if warm.Iterations != 0 {
+		t.Errorf("warm re-solve of the unchanged model took %d pivots, want 0", warm.Iterations)
+	}
+	if got := basicArtificials(std, warm.Basis()); got != arts {
+		t.Errorf("warm basis carries %d basic artificials, the cold one %d", got, arts)
+	}
+	if d := math.Abs(warm.Objective-cold.Objective) / (1 + math.Abs(cold.Objective)); d > 1e-7 {
+		t.Errorf("warm objective %v vs cold %v", warm.Objective, cold.Objective)
+	}
+	if warm.Suspect {
+		t.Errorf("warm solution flagged suspect, residual %g", warm.Residual)
+	}
+	checkOptimalityCertificate(t, m, warm, "warm")
+	checkStrongDuality(t, m, warm, "warm")
+}

@@ -99,8 +99,19 @@ func (m *Model) AddVar(lo, up, obj float64, name string) Var {
 	m.lo = append(m.lo, lo)
 	m.up = append(m.up, up)
 	m.names = append(m.names, name)
-	m.std = nil
+	m.structureChanged()
 	return Var(len(m.obj) - 1)
+}
+
+// structureChanged drops every cache that depends on the model's rows or
+// variable count: the standardization (whose matrix and signature follow
+// the rows) and presolve's rows-per-variable index. Data edits (SetObj,
+// SetRHS, SetBounds) keep both.
+func (m *Model) structureChanged() {
+	m.std = nil
+	if m.pre != nil {
+		m.pre.varRowsOK = false
+	}
 }
 
 // NumVars reports the number of variables added so far.
@@ -146,7 +157,7 @@ func (m *Model) AddConstraint(sense Sense, rhs float64, terms ...Term) Row {
 	m.rows = append(m.rows, merged)
 	m.senses = append(m.senses, sense)
 	m.rhs = append(m.rhs, rhs)
-	m.std = nil
+	m.structureChanged()
 	return Row(len(m.rows) - 1)
 }
 
@@ -530,9 +541,13 @@ type Options struct {
 	// singleton rows into bounds) and maps the reduced solution back to the
 	// full model — primal, duals, and reduced costs included, so PC prices
 	// survive the reduction. Warm bases captured under Presolve refer to
-	// the reduced model and keep working across re-solves as long as the
-	// reduction pattern is stable; a pattern change falls back to a cold
-	// start. Off by default: the unreduced path stays byte-identical.
+	// the reduced model. A re-solve after data edits first tries to keep
+	// the cached reduction — tightening edits (a bound pinned to [0,0], a
+	// smaller rhs on a kept row) always can — so those bases keep working;
+	// only an edit that breaks a cached reduction (say, a dropped redundant
+	// row that can bind again) rebuilds the reduced model and falls back
+	// to a cold start. Off by default: the unreduced path stays
+	// byte-identical.
 	Presolve bool
 }
 
@@ -577,7 +592,7 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults(std.n, std.m)
-	res := std.solve(opts)
+	res := std.solve(opts, newFactor(opts.DenseKernel))
 	if opts.Stats != nil {
 		opts.Stats.record(res)
 	}

@@ -14,11 +14,12 @@ package lp
 // binding bound of its variable takes that variable's reduced cost back as
 // its dual.
 //
-// The reduction recipe is retained on the Model. When a data-only edit
-// (rhs, bounds, objective) leaves the reduction pattern unchanged — the
-// same rows dropped, the same variables removed — the cached reduced model
-// is patched in place instead of rebuilt, which keeps its own standardized
-// form and warm-basis signature stable across re-solves.
+// The reduction recipe is retained on the Model. After a data-only edit
+// (rhs, bounds, objective) the passes first try to reproduce the cached
+// reduction — the same rows dropped, the same variables removed — and,
+// when it still holds, the cached reduced model is patched in place
+// instead of rebuilt, which keeps its own standardized form and warm-basis
+// signature stable across re-solves (see runPresolve).
 
 import "math"
 
@@ -47,8 +48,8 @@ type rowDrop struct {
 
 // presolveState holds the reduction recipe, the reduced model, and the
 // reusable scratch. It is cached on the Model and refreshed every
-// presolved solve; the reduced model is only rebuilt when the reduction
-// pattern changes.
+// presolved solve; the reduced model is only rebuilt when a cached
+// reduction no longer holds for the model's data.
 type presolveState struct {
 	status Status // Optimal = proceed to the simplex; Infeasible = decided here
 	red    *Model
@@ -73,7 +74,10 @@ type presolveState struct {
 	prevRemoved []bool
 	prevKept    []bool
 
-	// CSR index of rows per variable, for postsolve dual recovery.
+	// CSR index of rows per variable, for postsolve dual recovery. It
+	// depends only on the model's rows, so it is rebuilt only after a
+	// structural edit clears varRowsOK (see Model.structureChanged).
+	varRowsOK  bool
 	varRowPtr  []int32
 	varRowIdx  []int32
 	varRowCoef []float64
@@ -120,12 +124,60 @@ func resizeInt32s(s []int32, n int) []int32 {
 
 // runPresolve computes the reduction for the model's current data,
 // reusing (and, when the pattern is stable, patching) the cached state.
+//
+// Once a reduced model exists, the passes first run restricted to its
+// reduction: a variable may leave only if the cached reduction removed it,
+// a row only if the cached reduction dropped it. When every cached
+// reduction still holds, the reduced model is patched in place, so its
+// standardization and warm-basis signature survive the edit. Edits that
+// only tighten (Rebind pinning past slots to [0,0], say) always take this
+// path: a newly fixed column stays in the reduced model as a [0,0] column,
+// and a row that could now be dropped stays too. Only when a cached
+// reduction no longer holds (or the restricted pass finds the data
+// infeasible) does the unrestricted pass run and the reduced model get
+// rebuilt. The first presolved solve of a model takes the unrestricted
+// pass directly.
 func (m *Model) runPresolve() *presolveState {
 	ps := m.pre
 	if ps == nil {
 		ps = &presolveState{}
 		m.pre = ps
 	}
+	cached := ps.red != nil && len(ps.prevRemoved) == m.NumVars() && len(ps.prevKept) == m.NumRows()
+	if cached && m.reduce(ps, true) && ps.sameReduction() {
+		m.assembleReduced(ps)
+		return ps
+	}
+	if m.reduce(ps, false) {
+		m.assembleReduced(ps)
+	}
+	return ps
+}
+
+// sameReduction reports whether the recipe just computed removes exactly
+// the variables and drops exactly the rows of the cached reduced model.
+func (ps *presolveState) sameReduction() bool {
+	if ps.red == nil || len(ps.prevRemoved) != len(ps.removed) || len(ps.prevKept) != len(ps.drops) {
+		return false
+	}
+	for j, r := range ps.removed {
+		if ps.prevRemoved[j] != r {
+			return false
+		}
+	}
+	for i := range ps.drops {
+		if ps.prevKept[i] != (ps.drops[i].kind == dropKeep) {
+			return false
+		}
+	}
+	return true
+}
+
+// reduce runs the presolve passes to a fixed point and records the recipe
+// in ps. With restrict set, only the variables and rows the cached
+// reduction removed may leave (see runPresolve). It reports whether the
+// model survived presolve; on false, ps.status is Infeasible.
+func (m *Model) reduce(ps *presolveState, restrict bool) bool {
 	nv, nr := m.NumVars(), m.NumRows()
 	ps.status = Optimal
 	ps.removed = resizeBools(ps.removed, nv)
@@ -160,6 +212,12 @@ func (m *Model) runPresolve() *presolveState {
 		ps.fixVal[j] = val
 		ps.removeOrder = append(ps.removeOrder, j)
 	}
+	canRemove := func(j int) bool { return !restrict || ps.prevRemoved[j] }
+	canDrop := func(i int) bool { return !restrict || !ps.prevKept[i] }
+	infeasible := func() bool {
+		ps.status = Infeasible
+		return false
+	}
 
 	ps.colCnt = resizeInt32s(ps.colCnt, nv)
 	ps.colRow = resizeInt32s(ps.colRow, nv)
@@ -179,11 +237,16 @@ func (m *Model) runPresolve() *presolveState {
 			}
 			lo, up := ps.lo[j], ps.up[j]
 			if lo > up+presolveFeasTol*(1+math.Abs(lo)) {
-				ps.status = Infeasible
-				return ps
+				return infeasible()
 			}
-			if lo >= up {
+			switch {
+			case lo >= up && canRemove(j):
 				remove(j, 0.5*(lo+up))
+				changed = true
+			case lo > up:
+				// Crossed within tolerance but kept: pin it where removal
+				// would have, so the reduced model never sees lo > up.
+				ps.lo[j], ps.up[j] = 0.5*(lo+up), 0.5*(lo+up)
 				changed = true
 			}
 		}
@@ -220,11 +283,12 @@ func (m *Model) runPresolve() *presolveState {
 					viol = math.Abs(eff)
 				}
 				if viol > tol {
-					ps.status = Infeasible
-					return ps
+					return infeasible()
 				}
-				ps.drops[i] = rowDrop{kind: dropEmptyRow}
-				changed = true
+				if canDrop(i) {
+					ps.drops[i] = rowDrop{kind: dropEmptyRow}
+					changed = true
+				}
 				continue
 			}
 			// Singleton row: one live variable.
@@ -232,13 +296,18 @@ func (m *Model) runPresolve() *presolveState {
 			case EQ:
 				val := eff / lc
 				if val < ps.lo[lv]-tol || val > ps.up[lv]+tol {
-					ps.status = Infeasible
-					return ps
+					return infeasible()
+				}
+				if !canDrop(i) || !canRemove(lv) {
+					continue
 				}
 				val = math.Max(ps.lo[lv], math.Min(ps.up[lv], val))
 				ps.drops[i] = rowDrop{kind: dropSingletonFix, v: lv, coef: lc}
 				remove(lv, val)
 			default:
+				if !canDrop(i) {
+					continue
+				}
 				// a·x ≤ b with a>0 (or ≥ with a<0) implies an upper bound;
 				// the mirrored cases imply a lower bound.
 				b := eff / lc
@@ -257,8 +326,7 @@ func (m *Model) runPresolve() *presolveState {
 				// must never see lo > up (it would fix the variable at an
 				// infeasible value and hide the conflict).
 				if ps.lo[lv] > ps.up[lv]+presolveFeasTol*(1+math.Abs(ps.lo[lv])) {
-					ps.status = Infeasible
-					return ps
+					return infeasible()
 				}
 				ps.drops[i] = d
 			}
@@ -268,7 +336,7 @@ func (m *Model) runPresolve() *presolveState {
 		// Redundancy scan: rows implied by the working variable bounds
 		// always admit a zero dual, so dropping them is exact.
 		for i := 0; i < nr; i++ {
-			if ps.drops[i].kind != dropKeep || m.senses[i] == EQ {
+			if ps.drops[i].kind != dropKeep || m.senses[i] == EQ || !canDrop(i) {
 				continue
 			}
 			minAct, maxAct := 0.0, 0.0
@@ -332,7 +400,7 @@ func (m *Model) runPresolve() *presolveState {
 			}
 		}
 		for j := 0; j < nv; j++ {
-			if ps.removed[j] {
+			if ps.removed[j] || !canRemove(j) {
 				continue
 			}
 			cmin := objSign * m.obj[j] // cost in minimization orientation
@@ -368,7 +436,7 @@ func (m *Model) runPresolve() *presolveState {
 				// computes the variable from the final row activity.
 				i := int(ps.colRow[j])
 				a := ps.colCoef[j]
-				if ps.drops[i].kind == dropKeep &&
+				if ps.drops[i].kind == dropKeep && canDrop(i) &&
 					((m.senses[i] == GE && a > 0) || (m.senses[i] == LE && a < 0)) {
 					ps.drops[i] = rowDrop{kind: dropSlackCol, v: j, coef: a}
 					remove(j, math.NaN())
@@ -394,26 +462,14 @@ func (m *Model) runPresolve() *presolveState {
 			break
 		}
 	}
-
-	m.assembleReduced(ps)
-	return ps
+	return true
 }
 
 // assembleReduced builds (or, when the reduction pattern matches the
 // cached one, patches) the reduced model and the row/column maps.
 func (m *Model) assembleReduced(ps *presolveState) {
 	nv, nr := m.NumVars(), m.NumRows()
-	same := ps.red != nil && len(ps.prevRemoved) == nv && len(ps.prevKept) == nr
-	if same {
-		for j := 0; j < nv && same; j++ {
-			same = ps.prevRemoved[j] == ps.removed[j]
-		}
-		for i := 0; i < nr && same; i++ {
-			same = ps.prevKept[i] == (ps.drops[i].kind == dropKeep)
-		}
-	}
-
-	if same {
+	if ps.sameReduction() {
 		red := ps.red
 		red.maximize = m.maximize
 		rv := 0
@@ -567,9 +623,14 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 }
 
 // buildVarRows (re)builds the rows-per-variable CSR index used by dual
-// recovery and reduced-cost reconstruction.
+// recovery and reduced-cost reconstruction, unless the cached one is
+// still current.
 func (ps *presolveState) buildVarRows(m *Model) {
 	nv := m.NumVars()
+	if ps.varRowsOK && len(ps.varRowPtr) == nv+1 {
+		return
+	}
+	ps.varRowsOK = true
 	ps.varRowPtr = resizeInt32s(ps.varRowPtr, nv+1)
 	for i := range ps.varRowPtr {
 		ps.varRowPtr[i] = 0

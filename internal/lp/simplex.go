@@ -28,6 +28,16 @@ type standard struct {
 
 	basisInit []int // initial basic column per row (slack or artificial)
 
+	// nStruct counts the structural columns; the logical and artificial
+	// columns follow them.
+	nStruct int
+
+	// sig and signs cache signature() and rowSigns() once sigOK is set
+	// (see signature for why what they hash never changes after
+	// standardize).
+	sig, signs uint64
+	sigOK      bool
+
 	// Mapping back to model space: modelVar j has value
 	// shift[j] + sign[j]*x[colOf[j]] - x[negCol[j]] (negCol -1 if unused).
 	colOf   []int
@@ -210,6 +220,7 @@ func (m *Model) standardize() (*standard, error) {
 	}
 
 	// Logicals and artificials; initial basis.
+	s.nStruct = len(s.cols)
 	s.basisInit = make([]int, nr)
 	for i, rd := range rows {
 		switch rd.sense {
@@ -271,9 +282,9 @@ type result struct {
 	refactors int          // basis refactorizations performed
 	phase     PhaseTimings // per-phase wall-clock breakdown
 	warm      bool         // a supplied warm basis was actually used
-	pricing   PricingRule // entering rule the final phase ran with
-	dualCold  bool        // primal feasibility came from the dual cold start
-	basis     *Basis      // terminal basis (Optimal and Infeasible outcomes)
+	pricing   PricingRule  // entering rule the final phase ran with
+	dualCold  bool         // primal feasibility came from the dual cold start
+	basis     *Basis       // terminal basis (Optimal and Infeasible outcomes)
 }
 
 // state is the revised-simplex working state. The basis representation
@@ -311,6 +322,9 @@ type state struct {
 	// cOrig holds the pristine phase-2 costs while the dual cold start's
 	// perturbed copy is swapped into std.c (nil otherwise).
 	cOrig []float64
+	// abort is the status a staged or dual cold start that returned
+	// stagedAbort gave up with (TimeLimit or IterLimit).
+	abort Status
 
 	// pricing is the resolved entering-variable rule for the current
 	// optimize call (PricingDantzig = classic Dantzig/partial hybrid).
@@ -435,14 +449,15 @@ const nzRefactorEvery = 256
 // roundoff accumulating over very long, low-fill pivot chains.
 const ftRefactorBackstop = 2048
 
-// solve runs phase 1 then phase 2 and extracts primal and dual values.
-// With a usable Options.WarmBasis, phase 1 is skipped entirely and phase 2
-// starts from the supplied basis.
-func (std *standard) solve(opts Options) result {
+// solve runs phase 1 then phase 2 and extracts primal and dual values,
+// keeping the basis representation in fac (newFactor(opts.DenseKernel) in
+// production). With a usable Options.WarmBasis, phase 1 is skipped
+// entirely and phase 2 starts from the supplied basis.
+func (std *standard) solve(opts Options, fac factor) result {
 	m := std.m
 	st := &state{
 		std:           std,
-		fac:           newFactor(opts.DenseKernel),
+		fac:           fac,
 		basis:         make([]int, m),
 		basePos:       make([]int, std.n),
 		atUpper:       make([]bool, std.n),
@@ -510,13 +525,19 @@ func (std *standard) solve(opts Options) result {
 
 	dualCold := false
 	if warm {
-		// The basis is now primal feasible, so phase 1 is unnecessary;
-		// basic artificials (all verified ~0) are expelled where possible,
-		// exactly as after a cold phase 1.
-		for _, j := range st.basis {
-			if std.art[j] {
-				st.expelArtificials()
-				break
+		// The basis is now primal feasible, so phase 1 is unnecessary.
+		// Basic artificials (all verified ~0) are expelled where possible,
+		// exactly as after a cold phase 1 — on small models only. From
+		// stagedStartMinRows up they stay basic at zero, exactly as the
+		// staged start leaves them (see stagedStart for why that is safe):
+		// expelling them costs a BTRAN, a pass over every column and an
+		// FTRAN each, and walks the basis off the optimum it came from.
+		if m < stagedStartMinRows {
+			for _, j := range st.basis {
+				if std.art[j] {
+					st.expelArtificials()
+					break
+				}
 			}
 		}
 	} else {
@@ -537,8 +558,8 @@ func (std *standard) solve(opts Options) result {
 			case stagedDone:
 				dualCold = true
 				st.restoreC()
-			case stagedTimeout:
-				return result{status: TimeLimit, iters: st.iters, refactors: st.refactors, phase: st.phase, pricing: st.pricing}
+			case stagedAbort:
+				return result{status: st.abort, iters: st.iters, refactors: st.refactors, phase: st.phase, pricing: st.pricing}
 			case stagedFallback:
 				st.restoreC()
 				st.coldInit()
@@ -555,8 +576,8 @@ func (std *standard) solve(opts Options) result {
 			switch st.stagedStart() {
 			case stagedDone:
 				staged = true
-			case stagedTimeout:
-				return result{status: TimeLimit, iters: st.iters, refactors: st.refactors, phase: st.phase, pricing: st.pricing}
+			case stagedAbort:
+				return result{status: st.abort, iters: st.iters, refactors: st.refactors, phase: st.phase, pricing: st.pricing}
 			case stagedFallback:
 				st.restoreB()
 				st.coldInit()
@@ -660,9 +681,19 @@ const (
 	// (numerics, unboundedness of the relaxation, or a failed dual
 	// cleanup). The state is dirty; re-init and run classic phase 1.
 	stagedFallback
-	// stagedTimeout: the time or iteration budget expired mid-stage.
-	stagedTimeout
+	// stagedAbort: the stage gave up without a verdict — the time or
+	// iteration budget expired, or a refactorization went singular mid-
+	// stage. st.abort holds the status the solve reports (TimeLimit only
+	// when the deadline expired).
+	stagedAbort
 )
+
+// abortWith records why a staged or dual cold start gave up and returns
+// stagedAbort.
+func (st *state) abortWith(s Status) stagedOutcome {
+	st.abort = s
+	return stagedAbort
+}
 
 // stagedPerturb scales the staged start's deterministic right-hand-side
 // perturbation and artificial-cap headroom. It sits in the gap between the
@@ -746,11 +777,13 @@ func (st *state) stagedStart() stagedOutcome {
 		// Stage A: optimize the relaxation. Artificials never enter the
 		// basis (skipArt), and the ones already basic are held inside
 		// [0, start+headroom] by their temporary bounds.
-		switch st.optimize(std.c, true) {
+		switch status := st.optimize(std.c, true); status {
 		case Optimal:
 		case TimeLimit, IterLimit:
+			// IterLimit covers a singular refactorization as well as an
+			// exhausted pivot budget; either way the deadline did not expire.
 			restore()
-			return stagedTimeout
+			return st.abortWith(status)
 		default:
 			restore()
 			return stagedFallback
@@ -771,8 +804,11 @@ func (st *state) stagedStart() stagedOutcome {
 		}
 		st.recomputeXB()
 		if !st.dualCleanup() {
-			if st.timedOut() || st.iters >= st.maxIter {
-				return stagedTimeout
+			switch {
+			case st.timedOut():
+				return st.abortWith(TimeLimit)
+			case st.iters >= st.maxIter:
+				return st.abortWith(IterLimit)
 			}
 			return stagedFallback
 		}
@@ -1606,7 +1642,7 @@ func (st *state) dualCleanup() bool {
 // Returns stagedDone with a primal-feasible (and dual-feasible) basis,
 // stagedFallback when the route cannot proceed (a negative-cost column with
 // an infinite upper bound, a dead ratio test, numerics — the primal path is
-// the authoritative fallback), or stagedTimeout. The caller owns restoreC.
+// the authoritative fallback), or stagedAbort. The caller owns restoreC.
 func (st *state) dualColdStart() stagedOutcome {
 	std := st.std
 	m := std.m
@@ -1639,15 +1675,18 @@ func (st *state) dualColdStart() stagedOutcome {
 	}
 
 	for {
-		if st.iters >= st.maxIter || st.timedOut() {
-			return stagedTimeout
+		if st.iters >= st.maxIter {
+			return st.abortWith(IterLimit)
+		}
+		if st.timedOut() {
+			return st.abortWith(TimeLimit)
 		}
 		if st.needsRefactor() {
 			switch st.refactor() {
 			case refactorOK:
 				st.dRedRefresh(costs)
 			case refactorTimeout:
-				return stagedTimeout
+				return st.abortWith(TimeLimit)
 			default:
 				return stagedFallback
 			}
@@ -2013,7 +2052,10 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 			// temporary relaxation shows up here as a finite std.up cap
 			// instead). On rows whose artificial survived phase 1 +
 			// expulsion this never fires — those rows are linearly
-			// dependent, so w[i] is identically zero.
+			// dependent, so w[i] is identically zero — but the staged start
+			// and large warm installs keep artificials basic without trying
+			// to expel them, and on their rows this cap is what holds them
+			// at zero.
 			ub := std.up[jb]
 			if skipArt && std.art[jb] && math.IsInf(ub, 1) {
 				ub = 0

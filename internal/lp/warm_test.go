@@ -315,13 +315,96 @@ func TestWarmStartMatrixChangeFallsBack(t *testing.T) {
 	if err != nil || want.Status != Optimal {
 		t.Fatalf("cold: %v %v", err, want.Status)
 	}
-	got, err := changed.Solve(Options{WarmBasis: first.Basis()})
+	var stats SolveStats
+	got, err := changed.Solve(Options{WarmBasis: first.Basis(), Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Status != Optimal || math.Abs(got.Objective-want.Objective) > 1e-8 {
 		t.Fatalf("stale-matrix warm basis corrupted the solve: %v vs %v", got.Objective, want.Objective)
 	}
+	if stats.WarmStarts != 0 {
+		t.Fatalf("a basis from a different matrix was accepted")
+	}
+
+	// Two sign flips in the matrix: the coefficients of an equality row
+	// negated, its rhs kept. The signature must tell the matrices apart
+	// (a multiply-xor hash over whole words lets an even number of sign-bit
+	// flips cancel) and refuse the basis — reinstalling its factorization
+	// would solve against the wrong matrix.
+	eqModel := func(cx, cy, rhs float64) *Model {
+		m := NewModel()
+		m.SetMaximize(true)
+		x := m.AddVar(-20, 20, 3, "x")
+		y := m.AddVar(-20, 20, 2, "y")
+		m.AddConstraint(EQ, rhs, Term{x, cx}, Term{y, cy})
+		m.AddConstraint(LE, 8, Term{x, 1}, Term{y, 1})
+		return m
+	}
+	eq := eqModel(1, -1, 4)
+	before, err := eq.Solve(Options{})
+	if err != nil || before.Status != Optimal {
+		t.Fatalf("eq model: %v %v", err, before.Status)
+	}
+	negated := eqModel(-1, 1, 4)
+	want, err = eqModel(-1, 1, 4).Solve(Options{})
+	if err != nil || want.Status != Optimal {
+		t.Fatalf("negated model: %v %v", err, want.Status)
+	}
+	warmStarts := stats.WarmStarts
+	got, err = negated.Solve(Options{WarmBasis: before.Basis(), Stats: &stats})
+	if err != nil || got.Status != Optimal || math.Abs(got.Objective-want.Objective) > 1e-8 {
+		t.Fatalf("negated coefficients: %v %v objective %v, want %v", err, got.Status, got.Objective, want.Objective)
+	}
+	if stats.WarmStarts != warmStarts {
+		t.Fatalf("a basis was accepted across two coefficient sign flips")
+	}
+
+	// A data edit that flips an equality row's normalization sign rebuilds
+	// the standardization with the same layout and the same matrix up to
+	// that row's sign. The basis still names a nonsingular basis matrix and
+	// is accepted, but its factorization belongs to the old signs: the
+	// install must refactorize, not reuse it.
+	std := eq.std
+	eq.SetRHS(0, -4)
+	flipped, err := eq.Solve(Options{WarmBasis: before.Basis(), Stats: &stats})
+	if err != nil || flipped.Status != Optimal {
+		t.Fatalf("flipped rhs: %v %v", err, flipped.Status)
+	}
+	if eq.std == std || eq.std.m != std.m || eq.std.n != std.n {
+		t.Fatalf("the sign flip should rebuild the standardization with the same layout")
+	}
+	if stats.WarmStarts != warmStarts+1 || flipped.Refactors == 0 {
+		t.Fatalf("row-sign flip: warm starts %d -> %d, %d refactorizations; want one warm start that refactorizes",
+			warmStarts, stats.WarmStarts, flipped.Refactors)
+	}
+	if want, err := eqModel(1, -1, -4).Solve(Options{}); err != nil || math.Abs(flipped.Objective-want.Objective) > 1e-8 {
+		t.Fatalf("flipped rhs: objective %v, fresh %v (%v)", flipped.Objective, want.Objective, err)
+	}
+	checkOptimalityCertificate(t, eq, flipped, "flipped rhs")
+
+	// Under presolve the signature belongs to the reduced model, which a
+	// structural edit rebuilds: the basis captured before it must be refused.
+	pre := build(2)
+	base, err := pre.Solve(Options{Presolve: true})
+	if err != nil || base.Status != Optimal {
+		t.Fatalf("presolved base: %v %v", err, base.Status)
+	}
+	pre.AddConstraint(LE, 5, Term{0, 1}, Term{1, 2})
+	warmStarts = stats.WarmStarts
+	got, err = pre.Solve(Options{Presolve: true, WarmBasis: base.Basis(), Stats: &stats})
+	if err != nil || got.Status != Optimal {
+		t.Fatalf("presolved after edit: %v %v", err, got.Status)
+	}
+	if stats.WarmStarts != warmStarts {
+		t.Fatalf("a presolved basis survived a structural edit")
+	}
+	ref := build(2)
+	ref.AddConstraint(LE, 5, Term{0, 1}, Term{1, 2})
+	if want, err := ref.Solve(Options{}); err != nil || math.Abs(got.Objective-want.Objective) > 1e-8 {
+		t.Fatalf("presolved after edit: objective %v, fresh %v (%v)", got.Objective, want.Objective, err)
+	}
+	checkOptimalityCertificate(t, pre, got, "presolved after edit")
 }
 
 // TestWarmStartIsDeterministic: the same warm-started solve run twice

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -256,5 +257,107 @@ func BenchmarkSAMResolveWarm(b *testing.B) {
 				reportPhases(b, phase)
 			})
 		}
+	}
+}
+
+// realize is the instance the SAM loop hands the retained model after
+// executing step tau of plan: the bytes plan scheduled at tau are
+// delivered — taken off each demand's MaxBytes and MinBytes and charged to
+// FixedUsage — and StartStep moves past tau.
+func realize(ins *Instance, plan *Result, tau int) *Instance {
+	next := *ins
+	next.StartStep = tau + 1
+	next.Demands = append([]Demand(nil), ins.Demands...)
+	for _, a := range plan.Allocs {
+		if a.Time != tau {
+			continue
+		}
+		d := &next.Demands[a.DemandIdx]
+		d.MaxBytes = math.Max(0, d.MaxBytes-a.Bytes)
+		if d.MinBytes -= a.Bytes; d.MinBytes < 1e-9 {
+			d.MinBytes = 0
+		}
+	}
+	next.FixedUsage = make([][]float64, len(plan.EdgeUsage))
+	for e, u := range plan.EdgeUsage {
+		next.FixedUsage[e] = make([]float64, ins.Horizon)
+		if ins.FixedUsage != nil {
+			copy(next.FixedUsage[e], ins.FixedUsage[e])
+		}
+		next.FixedUsage[e][tau] += u[tau]
+	}
+	return &next
+}
+
+// BenchmarkSAMStepWarm measures one SAM successor step on the retained
+// model — the per-timestep cost of the paper-scale SAM loop: the previous
+// plan's step τ is executed (realize), Built.Rebind re-targets the model
+// at StartStep τ+1, and the presolved solve warm-starts from the previous
+// step's basis. The τ=0 cold solve runs once, outside the timer. A chain
+// restarts from a fresh build, warm-started from that cold basis, when it
+// reaches half the horizon or a step fails; failed steps count in the
+// timing and in failed_steps.
+//
+// Per-step means: pivots and refactors (over the optimal steps),
+// warm_starts (1 = every step started warm) and failed_steps (steps that
+// did not end optimal).
+func BenchmarkSAMStepWarm(b *testing.B) {
+	for _, sc := range benchScales {
+		if sc.name != "Medium" && !sc.paper {
+			continue
+		}
+		var coldBasis *lp.Basis
+		b.Run(sc.name, func(b *testing.B) {
+			base := benchInstance(sc, 42)
+			base.ImplicitBounds = true
+			opts := lp.Options{Presolve: true}
+			var built *Built
+			var ins *Instance
+			var plan *Result
+			seed := func() {
+				var err error
+				if built, err = base.Build(); err != nil {
+					b.Fatalf("Build: %v", err)
+				}
+				o := opts
+				o.WarmBasis = coldBasis
+				if plan, err = built.Solve(o); err != nil || plan.Status != lp.Optimal {
+					b.Fatalf("τ=0 solve: %v %v", err, plan.Status)
+				}
+				coldBasis, ins = plan.Basis, base
+			}
+			seed()
+			var stats lp.SolveStats
+			optimal, pivots, refactors := 0, 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ins.StartStep == sc.horizon/2 || plan.Status != lp.Optimal {
+					b.StopTimer()
+					seed()
+					b.StartTimer()
+				}
+				ins = realize(ins, plan, ins.StartStep)
+				if err := built.Rebind(ins); err != nil {
+					b.Fatalf("Rebind(τ=%d): %v", ins.StartStep, err)
+				}
+				o := opts
+				o.WarmBasis, o.Stats = plan.Basis, &stats
+				var err error
+				if plan, err = built.Solve(o); err != nil {
+					b.Fatalf("τ=%d step solve: %v", ins.StartStep, err)
+				}
+				if plan.Status == lp.Optimal {
+					optimal++
+					pivots += plan.Iterations
+					refactors += plan.Refactors
+				}
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(pivots)/math.Max(1, float64(optimal)), "pivots")
+			b.ReportMetric(float64(refactors)/math.Max(1, float64(optimal)), "refactors")
+			b.ReportMetric(float64(stats.WarmStarts)/n, "warm_starts")
+			b.ReportMetric(float64(b.N-optimal)/n, "failed_steps")
+		})
 	}
 }

@@ -163,7 +163,10 @@ func advance(base *Instance, step int) *Instance {
 // TestRebindMatchesFreshBuild walks a bench instance through successive
 // SAM-style steps, patching one retained model with Rebind while building a
 // fresh model for the same successor, and requires both to agree on status
-// and objective — cold and warm-started.
+// and objective. Every rebound solve must start from the previous step's
+// basis: advancing StartStep pins the past step's flows to zero, and the
+// presolve must keep its cached reduction instead of shifting it under the
+// basis.
 func TestRebindMatchesFreshBuild(t *testing.T) {
 	base := benchInstance(benchScales[1], 11) // Medium
 	base.ImplicitBounds = true
@@ -171,7 +174,8 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	res, err := built.Solve(lp.Options{Presolve: true})
+	var stats lp.SolveStats
+	res, err := built.Solve(lp.Options{Presolve: true, Stats: &stats})
 	if err != nil || res.Status != lp.Optimal {
 		t.Fatalf("initial solve: %v %v", err, res)
 	}
@@ -181,9 +185,13 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 		if err := built.Rebind(ins); err != nil {
 			t.Fatalf("step %d Rebind: %v", step, err)
 		}
-		warm, err := built.Solve(lp.Options{Presolve: true, WarmBasis: basis})
+		warmStarts := stats.WarmStarts
+		warm, err := built.Solve(lp.Options{Presolve: true, WarmBasis: basis, Stats: &stats})
 		if err != nil {
 			t.Fatalf("step %d rebind solve: %v", step, err)
+		}
+		if stats.WarmStarts != warmStarts+1 {
+			t.Errorf("step %d: the rebound solve did not warm-start (%d pivots)", step, warm.Iterations)
 		}
 		basis = warm.Basis
 
@@ -194,7 +202,7 @@ func TestRebindMatchesFreshBuild(t *testing.T) {
 		if warm.Status != fresh.Status {
 			t.Fatalf("step %d status rebind=%v fresh=%v", step, warm.Status, fresh.Status)
 		}
-		if relDiff(warm.Objective, fresh.Objective) > 1e-6 {
+		if relDiff(warm.Objective, fresh.Objective) > 1e-7 {
 			t.Errorf("step %d objective rebind=%v fresh=%v", step, warm.Objective, fresh.Objective)
 		}
 		checkFeasible(t, ins, warm, true)

@@ -518,9 +518,15 @@ func (b *Built) RelaxGuarantees() {
 // topology and demand structure, one or more timesteps later — by patching
 // objective coefficients, bounds, and right-hand sides in place. Compared
 // to rebuilding, the model keeps its identity (variable/row numbering,
-// cached standardization, presolve recipe), so the previous solve's warm
-// basis remains valid and consecutive SAM steps avoid the ~10⁶ allocations
-// a from-scratch Build costs at paper scale.
+// cached standardization, presolve recipe), and consecutive SAM steps
+// avoid the ~10⁶ allocations a from-scratch Build costs at paper scale.
+// The previous solve's basis warm-starts the next presolved solve: the
+// presolve keeps its cached reduction when the edits allow it (past-slot
+// flows pinned to zero stay in the reduced model as [0,0] columns), and
+// the lp signature tolerates equality rows whose normalization sign
+// flips as realized traffic moves into FixedUsage. Edits that break a
+// cached reduction — demand or capacity growing enough to make a dropped
+// row bind again — rebuild the reduced model and the solve starts cold.
 //
 // Only ImplicitBounds builds support Rebind (the default build bakes
 // instance data into variable names and row layout in ways that are not
