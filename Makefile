@@ -8,18 +8,21 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the gate for every change: vet plus the full suite under the
-# race detector (the experiment harness fans work out across goroutines,
-# so -race is load-bearing, not optional).
+# check is the gate for every change: gofmt (any file it would rewrite
+# fails the target), vet, and the full suite under the race detector (the
+# experiment harness fans work out across goroutines, so -race is
+# load-bearing, not optional).
 check:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
 # bench runs the root experiment benchmarks, then the admission-path
 # micro-benchmarks with a machine-readable report in BENCH_admission.json
 # (regression gate for the quote-engine fast path), then the SAM solver
-# benchmarks (sparse LU vs dense reference kernel, cold, warm re-solve and
-# Rebind successor step) into BENCH_solver.json (the perf trajectory of
+# benchmarks (sparse LU kernel: cold, warm re-solve and Rebind successor
+# step) into BENCH_solver.json (the perf trajectory of
 # the simplex core across PRs, gated on the Paper warm pivot counts), then the
 # route-resolution and admission-service micro-benchmarks (in process and
 # through the HTTP handler on the paper topology) plus a closed-loop

@@ -11,7 +11,10 @@
 // tooling never key-matches against "ns/op" strings, and metrics maps
 // every reported unit (standard and custom ReportMetric ones) to its
 // value, with the -cpucount suffix stripped from the name. Header lines
-// (goos, goarch, pkg, cpu) are captured as metadata.
+// (goos, goarch, pkg, cpu) are captured as metadata, alongside nproc (the
+// machine's logical CPUs) and gomaxprocs (the first benchmark name's -N
+// suffix, or this process's GOMAXPROCS when no name carries one — go test
+// omits the suffix at GOMAXPROCS=1).
 //
 // Repeatable -gate flags turn the report into a regression guard:
 //
@@ -35,7 +38,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -50,6 +55,8 @@ type result struct {
 	BytesPerOp  float64            `json:"bytes_per_op"`
 	AllocsPerOp float64            `json:"allocs_per_op"`
 	Metrics     map[string]float64 `json:"metrics"`
+
+	procs int // the name's -N (GOMAXPROCS) suffix; 0 when absent
 }
 
 type report struct {
@@ -139,25 +146,8 @@ func main() {
 	})
 	flag.Parse()
 
-	rep := report{Meta: map[string]string{}}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		if r, ok := parseBenchLine(line); ok {
-			rep.Results = append(rep.Results, r)
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) >= 2 {
-			switch k := strings.TrimSuffix(fields[0], ":"); k {
-			case "goos", "goarch", "pkg", "cpu":
-				rep.Meta[k] = strings.Join(fields[1:], " ")
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := readReport(os.Stdin, os.Stdout)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
 		os.Exit(1)
 	}
@@ -189,6 +179,37 @@ func main() {
 	}
 }
 
+// readReport parses `go test -bench` output from in, echoing every line to
+// echo, into a report with its machine metadata filled in.
+func readReport(in io.Reader, echo io.Writer) (report, error) {
+	rep := report{Meta: map[string]string{}}
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		if r, ok := parseBenchLine(line); ok {
+			rep.Results = append(rep.Results, r)
+			if _, seen := rep.Meta["gomaxprocs"]; !seen && r.procs > 0 {
+				rep.Meta["gomaxprocs"] = strconv.Itoa(r.procs)
+			}
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) >= 2 {
+			switch k := strings.TrimSuffix(fields[0], ":"); k {
+			case "goos", "goarch", "pkg", "cpu":
+				rep.Meta[k] = strings.Join(fields[1:], " ")
+			}
+		}
+	}
+	rep.Meta["nproc"] = strconv.Itoa(runtime.NumCPU())
+	if _, seen := rep.Meta["gomaxprocs"]; !seen {
+		rep.Meta["gomaxprocs"] = strconv.Itoa(runtime.GOMAXPROCS(0))
+	}
+	return rep, sc.Err()
+}
+
 // parseBenchLine parses one "BenchmarkName-8  N  v1 u1  v2 u2 ..." line.
 func parseBenchLine(line string) (result, bool) {
 	fields := strings.Fields(line)
@@ -199,13 +220,13 @@ func parseBenchLine(line string) (result, bool) {
 	if err != nil {
 		return result{}, false
 	}
-	name := fields[0]
+	name, procs := fields[0], 0
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
-	r := result{Name: name, Iterations: iters, Metrics: map[string]float64{}}
+	r := result{Name: name, Iterations: iters, Metrics: map[string]float64{}, procs: procs}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 func TestParseBenchLine(t *testing.T) {
 	// A real -benchmem line with a custom ReportMetric unit mixed in.
@@ -119,5 +125,50 @@ func TestGateCheck(t *testing.T) {
 		if got := g.check(results) == nil; got != c.ok {
 			t.Errorf("gate %q: pass = %v, want %v", c.gate, got, c.ok)
 		}
+	}
+}
+
+func TestReadReportMeta(t *testing.T) {
+	nproc := strconv.Itoa(runtime.NumCPU())
+	for _, tc := range []struct {
+		name, in, gomaxprocs string
+	}{
+		{
+			name: "suffix",
+			in: "goos: linux\ncpu: Intel(R) Xeon(R)\n" +
+				"BenchmarkQuoteMenu/wide-4   100   1264 ns/op\n" +
+				"BenchmarkAdmit-2   100   720 ns/op\n",
+			gomaxprocs: "4", // the first suffix wins
+		},
+		{
+			// go test prints no suffix at GOMAXPROCS=1, and loadgen's
+			// lines never carry one: fall back to this process's value.
+			name:       "no-suffix",
+			in:         "BenchmarkLoadgen/closed_loop   1   500 ns/op   2000000 ops/sec\n",
+			gomaxprocs: strconv.Itoa(runtime.GOMAXPROCS(0)),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := readReport(strings.NewReader(tc.in), io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Meta["gomaxprocs"]; got != tc.gomaxprocs {
+				t.Errorf("gomaxprocs = %q, want %q", got, tc.gomaxprocs)
+			}
+			if got := rep.Meta["nproc"]; got != nproc {
+				t.Errorf("nproc = %q, want %q", got, nproc)
+			}
+			if len(rep.Results) == 0 || strings.Contains(rep.Results[0].Name, "-") {
+				t.Errorf("results %+v: want names with the -N suffix stripped", rep.Results)
+			}
+		})
+	}
+	rep, err := readReport(strings.NewReader("goos: linux\ncpu: Intel(R) Xeon(R)\n"), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Meta["goos"] != "linux" || rep.Meta["cpu"] != "Intel(R) Xeon(R)" {
+		t.Errorf("header meta = %v", rep.Meta)
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"pretium/internal/exp"
-	"pretium/internal/lp"
 	"pretium/internal/obs"
 )
 
@@ -190,8 +189,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit (pprof format)")
 		tracePath  = flag.String("trace", "", "write the Pretium controllers' JSONL event trace to this file (run one experiment for a deterministic stream)")
 		metricsOut = flag.String("metrics", "", "write a JSON metrics snapshot (counters/gauges/histograms) to this file on exit")
-		pricing    = flag.String("pricing", "auto", "simplex pricing rule for every LP solve: auto, dantzig, or devex")
-		coldStrat  = flag.String("cold-strategy", "auto", "simplex cold-start strategy for every LP solve: auto, primal, or dual")
 	)
 	flag.Parse()
 
@@ -267,24 +264,6 @@ func main() {
 	if sc.Name == "paper" {
 		fmt.Fprintln(os.Stderr, "warning: paper scale builds very large LPs; expect hours per experiment")
 	}
-	// Solver overrides apply to every LP the experiments build (SAM, PC,
-	// oracle baselines alike); invalid values are rejected here rather
-	// than surfacing mid-experiment as a failed Solve.
-	switch *pricing {
-	case "auto", "dantzig", "devex":
-		sc.Solver.Pricing = lp.PricingRule(*pricing)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown pricing rule %q (want auto, dantzig, or devex)\n", *pricing)
-		os.Exit(2)
-	}
-	switch *coldStrat {
-	case "auto", "primal", "dual":
-		sc.Solver.ColdStrategy = lp.ColdStrategy(*coldStrat)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown cold-start strategy %q (want auto, primal, or dual)\n", *coldStrat)
-		os.Exit(2)
-	}
-
 	var names []string
 	if *name == "all" {
 		names = order

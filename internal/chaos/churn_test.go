@@ -71,11 +71,11 @@ func TestMaintenanceDrainRampProfile(t *testing.T) {
 	// Announced at ramp start (step 1): the full future profile appears.
 	d.BeforeStep(1, st)
 	want := map[int]float64{
-		0: 10,             // untouched
-		1: 10 - 8.0/3,     // ramp down 1/3 of depth 8
-		2: 10 - 16.0/3,    // 2/3 of depth
-		3: 2, 4: 2, 5: 2,  // hold at survive fraction
-		6: 10 - 16.0/3,    // ramp up mirrors down
+		0: 10,            // untouched
+		1: 10 - 8.0/3,    // ramp down 1/3 of depth 8
+		2: 10 - 16.0/3,   // 2/3 of depth
+		3: 2, 4: 2, 5: 2, // hold at survive fraction
+		6: 10 - 16.0/3, // ramp up mirrors down
 		7: 10 - 8.0/3,
 		8: 10, 9: 10,
 	}

@@ -43,11 +43,11 @@ func decodeFuzzPlan(data []byte, edges []graph.EdgeID) Plan {
 // ever goes negative, windows that have fully passed restore the exact
 // original capacity, and the fault set-aside survives untouched.
 func FuzzChurnOverlay(f *testing.F) {
-	f.Add([]byte{0, 0, 2, 4, 0})                               // one full LinkCut
-	f.Add([]byte{1, 1, 3, 5, 120})                             // over-unity drain knob
-	f.Add([]byte{2, 0, 0, 15, 50, 1, 0, 0, 15, 40})            // flap + drain same edge
+	f.Add([]byte{0, 0, 2, 4, 0})                                 // one full LinkCut
+	f.Add([]byte{1, 1, 3, 5, 120})                               // over-unity drain knob
+	f.Add([]byte{2, 0, 0, 15, 50, 1, 0, 0, 15, 40})              // flap + drain same edge
 	f.Add([]byte{3, 2, 1, 6, 10, 0, 0, 1, 6, 0, 2, 1, 2, 9, 90}) // srlg + cut + flap
-	f.Add([]byte{0, 0, 250, 200, 0})                           // window far outside horizon
+	f.Add([]byte{0, 0, 250, 200, 0})                             // window far outside horizon
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := graph.New()

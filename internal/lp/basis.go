@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"reflect"
+)
 
 // Basis is an opaque snapshot of a simplex basis, taken at the end of a
 // Solve and usable to warm-start a later solve of a structurally identical
@@ -28,11 +31,10 @@ type Basis struct {
 	basic   []int  // basic standardized column per row
 	atUpper []bool // nonbasic-at-upper flag per standardized column
 
-	// fac is a deep snapshot of the basis representation (sparse LU + eta
-	// file, or the dense reference inverse) as of capture. It is cloned on
-	// capture and cloned again on install, so no later solve — on the
-	// originating state or any state the basis is installed into — can
-	// mutate the snapshot. Because sig covers the constraint matrix
+	// fac is a deep snapshot of the basis representation (sparse LU with
+	// its updates) as of capture. It is cloned on capture and cloned again
+	// on install, so no later solve — on the originating state or any
+	// state the basis is installed into — can mutate the snapshot. Because sig covers the constraint matrix
 	// entries, a signature and row-sign match guarantees the same basis
 	// matrix, so the factorization can be reinstalled directly — skipping the
 	// refactorization that would otherwise eat much of the warm-start
@@ -199,7 +201,7 @@ func (st *state) installWarm(b *Basis) warmFit {
 			return warmNo // cannot rest at an infinite upper bound
 		}
 	}
-	if b.fac != nil && b.fac.denseKernel() == st.fac.denseKernel() && b.signs == std.rowSigns() &&
+	if b.fac != nil && sameKernel(b.fac, st.fac) && b.signs == std.rowSigns() &&
 		b.fac.age() < st.refactorEvery && !b.fac.wantRefactor() {
 		// Reuse the captured factorization: the signature and row-sign
 		// match guarantees the basis matrix is identical, so the snapshot
@@ -225,4 +227,11 @@ func (st *state) installWarm(b *Basis) warmFit {
 		}
 	}
 	return fit
+}
+
+// sameKernel reports whether a captured snapshot can be transplanted into a
+// solve running kernel f: only into one of the same concrete type. (A test
+// kernel's basis installed into a production solve refactorizes instead.)
+func sameKernel(snap, f factor) bool {
+	return reflect.TypeOf(snap) == reflect.TypeOf(f)
 }

@@ -125,7 +125,7 @@ func TestStagedStartSingularIsNotTimeLimit(t *testing.T) {
 		t.Fatalf("m = %d is below the staged-start gate %d", std.m, stagedStartMinRows)
 	}
 	opts := Options{RefactorEvery: 16}.withDefaults(std.n, std.m)
-	res := std.solve(opts, singularKernel{newFactor(false)})
+	res := std.solve(opts, singularKernel{kernelFor(false)})
 	var stats SolveStats
 	stats.record(res)
 	if res.iters < 16 {

@@ -74,7 +74,7 @@ func TestHyperSparseSolvesMatchDense(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	std, basis := bigStaircaseBasis(r, m)
 
-	lu := newFactor(false).(*luFactor)
+	lu := kernelFor(false).(*luFactor)
 	lu.reset(m)
 	if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
 		t.Fatalf("refactorize outcome %v", out)
@@ -231,7 +231,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 		inBasis[j] = true
 	}
 
-	lu := newFactor(false).(*luFactor)
+	lu := kernelFor(false).(*luFactor)
 	lu.reset(m)
 	if !lu.ftMode {
 		t.Fatalf("m=%d should select Forrest–Tomlin mode", m)
@@ -302,7 +302,7 @@ func TestFTLongChainDifferential(t *testing.T) {
 
 	// A fresh factorization of the same mutated basis is the differential
 	// oracle; the basis matrix itself is the absolute one.
-	fresh := newFactor(false).(*luFactor)
+	fresh := kernelFor(false).(*luFactor)
 	fresh.reset(m)
 	if out := fresh.refactorize(std, basis, time.Time{}); out != refactorOK {
 		t.Fatalf("fresh refactorize of mutated basis: outcome %v", out)
@@ -364,13 +364,10 @@ func TestFTLongChainDifferential(t *testing.T) {
 	}
 }
 
-// TestBigScaleSolveKKT runs the full solve pipeline at hyper-sparse scale
-// — staged cold start, candidate-list pricing, Nz pivot loops, peeled
-// refactorizations — on a staircase LP, and verifies the reported optimum
-// by checking the KKT conditions directly instead of trusting the solver:
-// primal feasibility, dual feasibility of every reduced cost, and
-// complementary slackness on rows and bounds.
-func TestBigScaleSolveKKT(t *testing.T) {
+// bigStaircaseLP builds a ~4,400-row maximization staircase (a chain of
+// two-variable capacity rows plus a few wide coupling rows) just above the
+// hyper-sparse and staged-start gates, and returns it with its variables.
+func bigStaircaseLP() (*Model, []Var) {
 	n := nzVectorMinRows + 301 // rows = n-1 chain rows + extras ≥ the gate
 	r := rand.New(rand.NewSource(9))
 	m := NewModel()
@@ -379,10 +376,8 @@ func TestBigScaleSolveKKT(t *testing.T) {
 	for j := 0; j < n; j++ {
 		vars[j] = m.AddVar(0, 1+2*r.Float64(), 0.5+r.Float64(), "")
 	}
-	caps := make([]float64, n-1)
 	for i := 0; i < n-1; i++ {
-		caps[i] = 0.5 + 2*r.Float64()
-		m.AddConstraint(LE, caps[i], Term{vars[i], 1}, Term{vars[i+1], 1})
+		m.AddConstraint(LE, 0.5+2*r.Float64(), Term{vars[i], 1}, Term{vars[i+1], 1})
 	}
 	// A few wide coupling rows so the duals are not trivially local.
 	for k := 0; k < 8; k++ {
@@ -392,7 +387,17 @@ func TestBigScaleSolveKKT(t *testing.T) {
 		}
 		m.AddConstraint(LE, float64(len(terms))/3, terms...)
 	}
+	return m, vars
+}
 
+// TestBigScaleSolveKKT runs the full solve pipeline at hyper-sparse scale
+// — staged cold start, candidate-list pricing, Nz pivot loops, peeled
+// refactorizations — on a staircase LP, and verifies the reported optimum
+// by checking the KKT conditions directly instead of trusting the solver:
+// primal feasibility, dual feasibility of every reduced cost, and
+// complementary slackness on rows and bounds.
+func TestBigScaleSolveKKT(t *testing.T) {
+	m, vars := bigStaircaseLP()
 	sol, err := m.Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -598,4 +603,52 @@ func TestBigScaleWarmKeepsBasicArtificials(t *testing.T) {
 	}
 	checkOptimalityCertificate(t, m, warm, "warm")
 	checkStrongDuality(t, m, warm, "warm")
+}
+
+// TestPricingAutoPolicy pins the only entering-rule selector: Dantzig below
+// stagedStartMinRows, cold or warm; devex on a cold solve at or above it,
+// and Dantzig again on a warm re-solve there.
+func TestPricingAutoPolicy(t *testing.T) {
+	solvePair := func(t *testing.T, m *Model) (cold, warm *Solution, std *standard) {
+		t.Helper()
+		var stats SolveStats
+		cold, err := m.Solve(Options{Stats: &stats})
+		if err != nil || cold.Status != Optimal {
+			t.Fatalf("cold: %v %v", err, cold.Status)
+		}
+		warm, err = m.Solve(Options{Stats: &stats, WarmBasis: cold.Basis()})
+		if err != nil || warm.Status != Optimal {
+			t.Fatalf("warm: %v %v", err, warm.Status)
+		}
+		if stats.WarmStarts != 1 {
+			t.Fatalf("WarmStarts = %d, want 1: the re-solve did not start warm", stats.WarmStarts)
+		}
+		if std, err = m.standardized(); err != nil {
+			t.Fatal(err)
+		}
+		return cold, warm, std
+	}
+
+	t.Run("below-gate", func(t *testing.T) {
+		cold, warm, std := solvePair(t, samShapedLP(rand.New(rand.NewSource(5000)), 1.0))
+		if std.m >= stagedStartMinRows {
+			t.Fatalf("m = %d is not below the gate %d", std.m, stagedStartMinRows)
+		}
+		if cold.PricingUsed != PricingDantzig || warm.PricingUsed != PricingDantzig {
+			t.Errorf("PricingUsed cold=%q warm=%q, want dantzig for both", cold.PricingUsed, warm.PricingUsed)
+		}
+	})
+	t.Run("at-gate", func(t *testing.T) {
+		m, _ := bigStaircaseLP()
+		cold, warm, std := solvePair(t, m)
+		if std.m < stagedStartMinRows {
+			t.Fatalf("m = %d is below the gate %d", std.m, stagedStartMinRows)
+		}
+		if cold.PricingUsed != PricingDevex {
+			t.Errorf("cold PricingUsed = %q, want devex", cold.PricingUsed)
+		}
+		if warm.PricingUsed != PricingDantzig {
+			t.Errorf("warm PricingUsed = %q, want dantzig", warm.PricingUsed)
+		}
+	})
 }

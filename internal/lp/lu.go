@@ -632,8 +632,6 @@ func nzCutoff(n int) int {
 	return c
 }
 
-func (f *luFactor) denseKernel() bool { return false }
-
 // age counts the updates absorbed since the last refactorization: eta
 // vectors in product-form mode, in-place U rewrites in ftMode.
 func (f *luFactor) age() int { return len(f.etas) + f.nupd }

@@ -85,7 +85,7 @@ func TestLUMatchesDenseOnRandomBases(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			r := rand.New(rand.NewSource(int64(100*m + trial)))
 			std, basis := randSparseBasis(r, m)
-			lu, dn := newFactor(false), newFactor(true)
+			lu, dn := kernelFor(false), kernelFor(true)
 			lu.reset(m)
 			dn.reset(m)
 			if out := lu.refactorize(std, basis, time.Time{}); out != refactorOK {
@@ -107,7 +107,7 @@ func TestLUEtaUpdatesMatchDense(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		r := rand.New(rand.NewSource(int64(900 + trial)))
 		std, basis := randSparseBasis(r, m)
-		lu, dn := newFactor(false), newFactor(true)
+		lu, dn := kernelFor(false), kernelFor(true)
 		lu.reset(m)
 		dn.reset(m)
 		if lu.refactorize(std, basis, time.Time{}) != refactorOK ||
@@ -152,7 +152,7 @@ func TestLUEtaUpdatesMatchDense(t *testing.T) {
 		compareKernels(t, r, lu, dn, m, 1e-7, "after etas")
 
 		// Ground truth: refactorize fresh kernels on the mutated basis.
-		fresh := newFactor(false)
+		fresh := kernelFor(false)
 		fresh.reset(m)
 		if fresh.refactorize(std, basis, time.Time{}) != refactorOK {
 			t.Fatal("fresh refactorize of mutated basis failed")
@@ -172,7 +172,7 @@ func TestFactorSingularDetection(t *testing.T) {
 	std, basis := randSparseBasis(r, m)
 	basis[3] = basis[6] // duplicate column => singular B
 	for _, dense := range []bool{false, true} {
-		f := newFactor(dense)
+		f := kernelFor(dense)
 		f.reset(m)
 		if out := f.refactorize(std, basis, time.Time{}); out != refactorSingular {
 			t.Fatalf("dense=%v: singular basis gave outcome %v", dense, out)
@@ -190,7 +190,7 @@ func TestRefactorizeHonorsDeadline(t *testing.T) {
 	std, basis := randSparseBasis(r, m)
 	expired := time.Now().Add(-time.Second)
 	for _, dense := range []bool{false, true} {
-		f := newFactor(dense)
+		f := kernelFor(dense)
 		f.reset(m)
 		if out := f.refactorize(std, basis, expired); out != refactorTimeout {
 			t.Fatalf("dense=%v: expired deadline gave outcome %v", dense, out)
@@ -205,7 +205,7 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 	const m = 12
 	r := rand.New(rand.NewSource(21))
 	std, basis := randSparseBasis(r, m)
-	lu := newFactor(false)
+	lu := kernelFor(false)
 	lu.reset(m)
 	if lu.refactorize(std, basis, time.Time{}) != refactorOK {
 		t.Fatal("refactorize failed")
@@ -245,7 +245,7 @@ func TestLUGrowthTriggersRefactor(t *testing.T) {
 	if lu.wantRefactor() || lu.age() != 0 {
 		t.Fatal("refactorize must clear the growth trigger and the eta file")
 	}
-	dn := newFactor(true)
+	dn := kernelFor(true)
 	dn.reset(m)
 	if dn.refactorize(std, basis, time.Time{}) != refactorOK {
 		t.Fatal("dense refactorize failed")
@@ -263,7 +263,7 @@ func TestNzAPIsEtaModeMatchDense(t *testing.T) {
 	const m = 40
 	r := rand.New(rand.NewSource(77))
 	std, basis := randSparseBasis(r, m)
-	lu := newFactor(false).(*luFactor)
+	lu := kernelFor(false).(*luFactor)
 	lu.reset(m)
 	if lu.ftMode {
 		t.Fatalf("m=%d must stay in product-form mode", m)
@@ -328,7 +328,7 @@ func TestNzAPIsEtaModeMatchDense(t *testing.T) {
 // fill and (b) clear the trigger state on refactorize.
 func TestFTFillGrowthTrigger(t *testing.T) {
 	m := nzVectorMinRows // smallest FT-mode size
-	f := newFactor(false).(*luFactor)
+	f := kernelFor(false).(*luFactor)
 	f.reset(m)
 	if !f.ftMode {
 		t.Fatalf("m=%d must select FT mode", m)
@@ -387,7 +387,7 @@ func TestFactorCloneIsolation(t *testing.T) {
 	for _, dense := range []bool{false, true} {
 		r := rand.New(rand.NewSource(31))
 		std, basis := randSparseBasis(r, m)
-		f := newFactor(dense)
+		f := kernelFor(dense)
 		f.reset(m)
 		if f.refactorize(std, basis, time.Time{}) != refactorOK {
 			t.Fatalf("dense=%v: refactorize failed", dense)
@@ -407,7 +407,7 @@ func TestFactorCloneIsolation(t *testing.T) {
 		f.ftranDense(probe, before)
 
 		snap := f.clone()
-		if snap.age() != f.age() || snap.denseKernel() != f.denseKernel() {
+		if snap.age() != f.age() || !sameKernel(snap, f) {
 			t.Fatalf("dense=%v: clone metadata mismatch", dense)
 		}
 

@@ -281,12 +281,9 @@ type Solution struct {
 	Refactors int
 	// Timings is the per-phase wall-clock breakdown of the solve.
 	Timings PhaseTimings
-	// PricingUsed is the entering-variable rule the solve actually ran
-	// with after PricingAuto resolution (PricingDantzig or PricingDevex).
+	// PricingUsed is the entering-variable rule the solve's final phase
+	// ran with (PricingDantzig or PricingDevex; see PricingRule).
 	PricingUsed PricingRule
-	// DualCold reports that the solve reached primal feasibility through
-	// the dual-simplex cold start (ColdDual, or ColdAuto resolving to it).
-	DualCold bool
 	// Residual is the solution health check: the worst relative violation
 	// of any constraint row or variable bound by the reported X, computed
 	// in model space after an Optimal solve (0 otherwise). A correct
@@ -375,13 +372,8 @@ type SolveStats struct {
 	// used (installed primal feasible, or repaired by dual cleanup) —
 	// attempts that fell back cold are not counted.
 	WarmStarts int
-	// DevexSolves counts solves whose final phase priced with devex
-	// (explicitly requested, or chosen by PricingAuto).
+	// DevexSolves counts solves whose final phase priced with devex.
 	DevexSolves int
-	// DualColdStarts counts cold solves that reached primal feasibility
-	// through the dual simplex (attempts that fell back primal are not
-	// counted).
-	DualColdStarts int
 	// Timings accumulates the per-phase wall-clock breakdown across the
 	// recorded solves.
 	Timings PhaseTimings
@@ -396,7 +388,6 @@ func (s *SolveStats) Merge(other SolveStats) {
 	s.IterLimitHits += other.IterLimitHits
 	s.WarmStarts += other.WarmStarts
 	s.DevexSolves += other.DevexSolves
-	s.DualColdStarts += other.DualColdStarts
 	s.Timings.add(other.Timings)
 }
 
@@ -417,79 +408,28 @@ func (s *SolveStats) record(res result) {
 	if res.pricing == PricingDevex {
 		s.DevexSolves++
 	}
-	if res.dualCold {
-		s.DualColdStarts++
-	}
 	s.Timings.add(res.phase)
 }
 
-// PricingRule selects the entering-variable rule of the primal simplex.
+// PricingRule names the entering-variable rule of the primal simplex. The
+// solver picks it per solve: devex for cold solves at hyper-sparse scale
+// (m >= stagedStartMinRows rows, where the Dantzig/partial rule pays ~10^5
+// pivots on the degenerate staircase plateau), the classic Dantzig/partial
+// hybrid everywhere else. Warm-started solves keep the classic rule, so
+// their pivot streams — pinned by the golden-trace suite and the warm-
+// resolve benchmarks — stay byte-identical. Solution.PricingUsed reports
+// the choice.
 type PricingRule string
 
-// Pricing rules. The zero value is PricingAuto.
+// Pricing rules.
 const (
-	// PricingAuto lets the solver choose: devex for cold solves at
-	// hyper-sparse scale (m >= 4096 rows, where the Dantzig/partial rule
-	// pays ~10^5 pivots on the degenerate staircase plateau), the classic
-	// Dantzig/partial hybrid everywhere else. Warm-started solves keep the
-	// classic rule so their pivot streams — pinned by the golden-trace
-	// suite and the warm-resolve benchmarks — stay byte-identical.
-	PricingAuto PricingRule = ""
-	// PricingDantzig forces the classic rule: a full Dantzig scan on
-	// narrow LPs, candidate-list partial pricing on wide ones.
+	// PricingDantzig is the classic rule: a full Dantzig scan on narrow
+	// LPs, candidate-list partial pricing on wide ones.
 	PricingDantzig PricingRule = "dantzig"
-	// PricingDevex forces devex pricing (Forrest–Goldfarb reference
-	// weights) in both simplex phases regardless of model size.
+	// PricingDevex is devex pricing (Forrest–Goldfarb reference weights)
+	// in both simplex phases.
 	PricingDevex PricingRule = "devex"
 )
-
-// normalize maps aliases to canonical values and rejects junk.
-func (p PricingRule) normalize() (PricingRule, error) {
-	switch p {
-	case PricingAuto, "auto":
-		return PricingAuto, nil
-	case PricingDantzig, PricingDevex:
-		return p, nil
-	}
-	return p, fmt.Errorf("lp: unknown pricing rule %q", string(p))
-}
-
-// ColdStrategy selects how a solve without a usable warm basis reaches
-// primal feasibility.
-type ColdStrategy string
-
-// Cold-start strategies. The zero value is ColdAuto.
-const (
-	// ColdAuto lets the solver choose. Today that is always the primal
-	// route (staged start on large LPs, classic artificial-cost phase 1
-	// otherwise). The bound-flipping (long-step) dual ratio test brought
-	// the dual cold start's Paper-scale pivot count from ~137k down to
-	// ~34k — within ~10% of the staged-primal-with-devex count — but each
-	// dual pivot still pays a full tableau-row assembly (BTRAN of a unit
-	// row plus a sweep over every touched column's nonzeros) that the
-	// primal loop never needs, leaving it ~2.5× slower end to end (~42 s
-	// vs ~16 s measured on the same box). Auto therefore still selects
-	// primal; revisit if a candidate-list dual pricing loop lands.
-	ColdAuto ColdStrategy = ""
-	// ColdPrimal forces the primal route regardless of model size.
-	ColdPrimal ColdStrategy = "primal"
-	// ColdDual forces the dual-simplex cold start (with the primal route
-	// still as fallback when a dual-feasible start cannot be flipped into
-	// existence or the dual loop fails). Explicit opt-in only — see
-	// ColdAuto for why auto never picks it.
-	ColdDual ColdStrategy = "dual"
-)
-
-// normalize maps aliases to canonical values and rejects junk.
-func (c ColdStrategy) normalize() (ColdStrategy, error) {
-	switch c {
-	case ColdAuto, "auto":
-		return ColdAuto, nil
-	case ColdPrimal, ColdDual:
-		return c, nil
-	}
-	return c, fmt.Errorf("lp: unknown cold-start strategy %q", string(c))
-}
 
 // Options tunes the solver.
 type Options struct {
@@ -517,25 +457,10 @@ type Options struct {
 	// singular at refactorization, or is primal infeasible for the current
 	// data is ignored and the solve falls back to a cold start.
 	WarmBasis *Basis
-	// DenseKernel selects the original dense-inverse basis kernel instead
-	// of the default sparse LU factorization. The dense kernel is retained
-	// as a slow-but-simple reference implementation for differential
-	// testing and benchmarking; production call sites should leave this
-	// false.
-	DenseKernel bool
 	// Stats, when non-nil, accumulates solver telemetry (pivots,
 	// refactorizations, budget hits, warm-start uses) across Solve calls.
 	// The pointer is read once per solve; it adds no per-pivot cost.
 	Stats *SolveStats
-	// Pricing selects the entering-variable rule: PricingAuto (default,
-	// devex on large cold solves, classic hybrid elsewhere),
-	// PricingDantzig, or PricingDevex. Unknown values fail the Solve.
-	Pricing PricingRule
-	// ColdStrategy selects how a cold solve reaches primal feasibility:
-	// ColdAuto (default, the primal route — see the constant for why auto
-	// never picks dual), ColdPrimal, or ColdDual. Unknown values fail the
-	// Solve.
-	ColdStrategy ColdStrategy
 	// Presolve runs a model-reduction pass before the simplex (drop empty
 	// and redundant rows, fix equal-bound and dominated variables, turn
 	// singleton rows into bounds) and maps the reduced solution back to the
@@ -549,6 +474,13 @@ type Options struct {
 	// to a cold start. Off by default: the unreduced path stays
 	// byte-identical.
 	Presolve bool
+
+	// Test seams, set only by this package's tests: pricing forces an
+	// entering rule (the devex-vs-Dantzig differentials), and kernel
+	// substitutes the basis kernel (the dense reference oracle). The zero
+	// values select the size/warm policy and the sparse LU kernel.
+	pricing PricingRule
+	kernel  func() factor
 }
 
 // withDefaults normalizes the options against a standardized problem of n
@@ -560,8 +492,6 @@ func (o Options) withDefaults(n, m int) Options {
 	if o.Tol <= 0 {
 		o.Tol = 1e-9
 	}
-	o.Pricing, _ = o.Pricing.normalize()
-	o.ColdStrategy, _ = o.ColdStrategy.normalize()
 	if o.MaxIters <= 0 {
 		o.MaxIters = 2000 + 40*(n+m)
 	}
@@ -578,12 +508,6 @@ func (o Options) withDefaults(n, m int) Options {
 // is not modified (Solve only refreshes internal caches), so it can be
 // re-solved after edits.
 func (m *Model) Solve(opts Options) (*Solution, error) {
-	if _, err := opts.Pricing.normalize(); err != nil {
-		return nil, err
-	}
-	if _, err := opts.ColdStrategy.normalize(); err != nil {
-		return nil, err
-	}
 	if opts.Presolve {
 		return m.solvePresolved(opts)
 	}
@@ -592,7 +516,7 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults(std.n, std.m)
-	res := std.solve(opts, newFactor(opts.DenseKernel))
+	res := std.solve(opts, opts.newFactor())
 	if opts.Stats != nil {
 		opts.Stats.record(res)
 	}
@@ -602,7 +526,6 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		Refactors:   res.refactors,
 		Timings:     res.phase,
 		PricingUsed: res.pricing,
-		DualCold:    res.dualCold,
 		X:           make([]float64, m.NumVars()),
 		Dual:        make([]float64, m.NumRows()),
 		ReducedCost: make([]float64, m.NumVars()),

@@ -560,7 +560,6 @@ func (m *Model) solvePresolved(opts Options) (*Solution, error) {
 		Refactors:   redSol.Refactors,
 		Timings:     redSol.Timings,
 		PricingUsed: redSol.PricingUsed,
-		DualCold:    redSol.DualCold,
 		X:           make([]float64, nv),
 		Dual:        make([]float64, nr),
 		ReducedCost: make([]float64, nv),

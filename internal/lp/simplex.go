@@ -283,14 +283,12 @@ type result struct {
 	phase     PhaseTimings // per-phase wall-clock breakdown
 	warm      bool         // a supplied warm basis was actually used
 	pricing   PricingRule  // entering rule the final phase ran with
-	dualCold  bool         // primal feasibility came from the dual cold start
 	basis     *Basis       // terminal basis (Optimal and Infeasible outcomes)
 }
 
 // state is the revised-simplex working state. The basis representation
-// lives behind the factor kernel (sparse LU by default, dense inverse as
-// the Options.DenseKernel reference); the state owns the bookkeeping
-// arrays and scratch vectors the pivot loops share.
+// lives behind the factor kernel (sparse LU); the state owns the
+// bookkeeping arrays and scratch vectors the pivot loops share.
 type state struct {
 	std           *standard
 	fac           factor    // basis representation: B⁻¹ as FTRAN/BTRAN/update
@@ -319,11 +317,8 @@ type state struct {
 	// bOrig holds the standardization's pristine right-hand side while the
 	// staged start's perturbed copy is swapped into std.b (nil otherwise).
 	bOrig []float64
-	// cOrig holds the pristine phase-2 costs while the dual cold start's
-	// perturbed copy is swapped into std.c (nil otherwise).
-	cOrig []float64
-	// abort is the status a staged or dual cold start that returned
-	// stagedAbort gave up with (TimeLimit or IterLimit).
+	// abort is the status a staged start that returned stagedAbort gave
+	// up with (TimeLimit or IterLimit).
 	abort Status
 
 	// pricing is the resolved entering-variable rule for the current
@@ -347,7 +342,7 @@ type state struct {
 	dvxSweeps int
 
 	// Row-wise copy of the standardized matrix (CSR over constraint rows),
-	// built lazily for the devex and dual-cold paths: the pivot row
+	// built lazily for devex pricing: the pivot row
 	// alpha = rho·A is assembled by scattering each nonzero row of rho
 	// through its matrix row instead of n column dot products.
 	rowPtr []int32
@@ -359,72 +354,11 @@ type state struct {
 	alphaNz   []int32
 	alphaMark []bool
 
-	// dualW holds the dual devex reference weights, per basis row.
-	dualW []float64
-
-	// Bound-flipping dual ratio test scratch: dbpR/dbpJ are the breakpoint
-	// min-heap (ratio-ordered, column index as tie-break), dflip collects
-	// the boxed columns flipped by a long step, and flipRhs/flipOut carry
-	// the combined flipped-column FTRAN that moves xB past them.
-	dbpR     []float64
-	dbpJ     []int32
-	dflip    []int32
-	flipRhs  []float64
-	flipOut  []float64
-	flipRows []int32
-	flipEnt  []entry
-	flipNz   []int32
-	// dualFlips tallies bound flips taken by long dual steps (telemetry).
-	dualFlips int
 	// phase accumulates the per-phase wall-clock breakdown. Each leaf
 	// operation (pricing scan, FTRAN, BTRAN, refactorization) stamps its
 	// own elapsed time, so nested calls never double-count: dRedRefresh's
 	// BTRAN lands in btran, only its maintenance sweep lands in pricing.
 	phase PhaseTimings
-}
-
-// dbpPush/dbpPop maintain the breakpoint min-heap over the parallel
-// (ratio, column) arrays: ascending ratio, column index breaking ties, so
-// the walk order — and with it the whole dual trajectory — is
-// deterministic regardless of collection order.
-func dbpPush(r []float64, j []int32, ratio float64, col int32) ([]float64, []int32) {
-	r = append(r, ratio)
-	j = append(j, col)
-	i := len(r) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if r[p] < r[i] || (r[p] == r[i] && j[p] <= j[i]) {
-			break
-		}
-		r[p], r[i] = r[i], r[p]
-		j[p], j[i] = j[i], j[p]
-		i = p
-	}
-	return r, j
-}
-
-func dbpPop(r []float64, j []int32) (float64, int32, []float64, []int32) {
-	ratio, col := r[0], j[0]
-	n := len(r) - 1
-	r[0], j[0] = r[n], j[n]
-	r, j = r[:n], j[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && (r[c+1] < r[c] || (r[c+1] == r[c] && j[c+1] < j[c])) {
-			c++
-		}
-		if r[i] < r[c] || (r[i] == r[c] && j[i] <= j[c]) {
-			break
-		}
-		r[i], r[c] = r[c], r[i]
-		j[i], j[c] = j[c], j[i]
-		i = c
-	}
-	return ratio, col, r, j
 }
 
 // timedOut reports whether the wall-clock budget has expired. The check
@@ -450,7 +384,7 @@ const nzRefactorEvery = 256
 const ftRefactorBackstop = 2048
 
 // solve runs phase 1 then phase 2 and extracts primal and dual values,
-// keeping the basis representation in fac (newFactor(opts.DenseKernel) in
+// keeping the basis representation in fac (opts.newFactor() in
 // production). With a usable Options.WarmBasis, phase 1 is skipped
 // entirely and phase 2 starts from the supplied basis.
 func (std *standard) solve(opts Options, fac factor) result {
@@ -486,11 +420,9 @@ func (std *standard) solve(opts Options, fac factor) result {
 		}
 	}
 	// The staged start may swap a perturbed right-hand side into the cached
-	// standardization (and the dual cold start a perturbed c); whatever path
-	// the solve exits through, the pristine slices go back so later solves
-	// start from unperturbed data.
+	// standardization; whatever path the solve exits through, the pristine
+	// slice goes back so later solves start from unperturbed data.
 	defer st.restoreB()
-	defer st.restoreC()
 
 	warm := false
 	if opts.WarmBasis.matches(std) {
@@ -508,22 +440,20 @@ func (std *standard) solve(opts Options, fac factor) result {
 		}
 	}
 
-	// Resolve the entering rule. Explicit choices always win; auto keeps the
-	// classic Dantzig/partial hybrid except on large cold solves, where devex
-	// pays for its maintained state many times over. The m gate doubles as
-	// the byte-identity shield: every golden-trace model sits below it, and
-	// warm re-solves (a handful of pivots, sequences pinned by the golden
-	// suite) stay on the classic rule.
-	st.pricing = PricingDantzig
-	switch {
-	case opts.Pricing == PricingDevex:
-		st.pricing = PricingDevex
-	case opts.Pricing == PricingDantzig:
-	case m >= stagedStartMinRows && !warm:
-		st.pricing = PricingDevex
+	// Resolve the entering rule: the classic Dantzig/partial hybrid except on
+	// large cold solves, where devex pays for its maintained state many times
+	// over. The m gate doubles as the byte-identity shield: every golden-trace
+	// model sits below it, and warm re-solves (a handful of pivots, sequences
+	// pinned by the golden suite) stay on the classic rule. Only package tests
+	// override the choice (opts.pricing).
+	st.pricing = opts.pricing
+	if st.pricing == "" {
+		st.pricing = PricingDantzig
+		if m >= stagedStartMinRows && !warm {
+			st.pricing = PricingDevex
+		}
 	}
 
-	dualCold := false
 	if warm {
 		// The basis is now primal feasible, so phase 1 is unnecessary.
 		// Basic artificials (all verified ~0) are expelled where possible,
@@ -543,36 +473,13 @@ func (std *standard) solve(opts Options, fac factor) result {
 	} else {
 		st.coldInit()
 
-		// Cold-start strategy. The dual route (dual simplex from the slack
-		// basis, perturbed costs, bound-flipping long steps) replaces both
-		// primal phases when it succeeds, but it is explicit-only: auto
-		// never selects it. With the long-step ratio test the dual loop
-		// reaches optimality at Paper scale in ~34k pivots (down from
-		// ~137k single-breakpoint), but each pivot still assembles a full
-		// tableau row, which keeps it ~2.5× the primal route's wall clock
-		// — see the ColdAuto doc comment for the measured numbers. Any
-		// dual failure falls through to the primal routes, which remain
-		// authoritative for infeasibility.
-		if opts.ColdStrategy == ColdDual {
-			switch st.dualColdStart() {
-			case stagedDone:
-				dualCold = true
-				st.restoreC()
-			case stagedAbort:
-				return result{status: st.abort, iters: st.iters, refactors: st.refactors, phase: st.phase, pricing: st.pricing}
-			case stagedFallback:
-				st.restoreC()
-				st.coldInit()
-			}
-		}
-
 		// Phase 1: make the basis primal feasible. Large LPs take the
 		// staged route (relax the infeasible rows, optimize the real
 		// objective, repair with the dual simplex); if it declines or
 		// fails, and always on small LPs, the classic artificial-cost
 		// phase 1 decides feasibility.
 		staged := false
-		if !dualCold && m >= stagedStartMinRows {
+		if m >= stagedStartMinRows {
 			switch st.stagedStart() {
 			case stagedDone:
 				staged = true
@@ -583,7 +490,7 @@ func (std *standard) solve(opts Options, fac factor) result {
 				st.coldInit()
 			}
 		}
-		if !dualCold && !staged {
+		if !staged {
 			// Classic phase 1: minimize the sum of artificial values.
 			needPhase1 := false
 			c1 := make([]float64, std.n)
@@ -612,13 +519,10 @@ func (std *standard) solve(opts Options, fac factor) result {
 		}
 	}
 
-	// Phase 2: the real objective, artificials locked out of pricing. After
-	// a dual cold start this re-optimizes the pristine costs from the
-	// perturbed optimum — dual feasibility is already within the
-	// perturbation's width, so only a handful of pivots remain.
+	// Phase 2: the real objective, artificials locked out of pricing.
 	status := st.optimize(std.c, true)
 	res := result{status: status, iters: st.iters, refactors: st.refactors,
-		phase: st.phase, warm: warm, pricing: st.pricing, dualCold: dualCold}
+		phase: st.phase, warm: warm, pricing: st.pricing}
 	if status != Optimal {
 		return res
 	}
@@ -688,8 +592,7 @@ const (
 	stagedAbort
 )
 
-// abortWith records why a staged or dual cold start gave up and returns
-// stagedAbort.
+// abortWith records why a staged start gave up and returns stagedAbort.
 func (st *state) abortWith(s Status) stagedOutcome {
 	st.abort = s
 	return stagedAbort
@@ -1097,10 +1000,10 @@ func (st *state) priceBland(costs, y []float64, skipArt bool) (q int, fromUpper 
 	return -1, false, 0
 }
 
-// ensureRowA builds the row-wise (CSR) copy of the standardized matrix the
-// devex and dual-cold paths price with, plus the pivot-row scratch. Built
-// once per solve; the standardization's structure is immutable while a
-// solve runs, so no invalidation is needed.
+// ensureRowA builds the row-wise (CSR) copy of the standardized matrix devex
+// prices with, plus the pivot-row scratch. Built once per solve; the
+// standardization's structure is immutable while a solve runs, so no
+// invalidation is needed.
 func (st *state) ensureRowA() {
 	if st.rowPtr != nil {
 		return
@@ -1420,67 +1323,6 @@ func (st *state) priceBlandMaintained(skipArt bool) (q int, fromUpper bool, qD f
 	return -1, false, 0
 }
 
-// dualPerturb scales the dual cold start's deterministic cost perturbation.
-// It is relative (each nonzero cost moves by ~1e-10 of itself, away from
-// zero so no sign ever flips) and exists for the same reason the staged
-// start perturbs b: SAM-shaped LPs repeat the same value coefficient across
-// every route and timestep of a demand, so the dual ratio test ties
-// massively and the dual simplex would stall on zero-length dual steps.
-// The perturbation is swapped out before the final primal phase runs, which
-// re-optimizes the handful of pivots the perturbation displaced.
-const dualPerturb = 1e-10
-
-// perturbC replaces std.c with a deterministically perturbed copy, parking
-// the pristine slice in st.cOrig; restoreC undoes the swap. Nonzero costs
-// move multiplicatively (signs preserved, so the bound-flip pattern of the
-// dual-feasible start is unaffected); zero-cost non-artificial columns —
-// the slack/surplus logicals — get a tiny positive cost instead: they rest
-// at their lower bound, where d = +ε stays dual feasible, and the ε breaks
-// the zero-ratio ties that would otherwise make every dual step through
-// them degenerate. Artificials stay at exactly zero (they are basic until
-// expelled and never re-enter, so their cost only muddies the duals).
-func (st *state) perturbC() {
-	if st.cOrig != nil {
-		return
-	}
-	std := st.std
-	st.cOrig = std.c
-	scale := 0.0
-	for _, v := range std.c {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	if scale == 0 {
-		scale = 1
-	}
-	cp := make([]float64, len(std.c))
-	h := uint64(0xD1B54A32D192ED03)
-	for j, v := range std.c {
-		h ^= uint64(j)*0xBF58476D1CE4E5B9 + (h << 13) + (h >> 7)
-		u := 1 + float64(h>>40)/float64(1<<24) // deterministic, in [1, 2)
-		switch {
-		case v != 0:
-			cp[j] = v * (1 + dualPerturb*u)
-		case std.art[j]:
-			cp[j] = 0
-		default:
-			cp[j] = dualPerturb * u * scale
-		}
-	}
-	std.c = cp
-}
-
-// restoreC swaps the pristine costs back in (no-op when no perturbation is
-// active). The cached standardization must never leak perturbed costs into
-// a later solve.
-func (st *state) restoreC() {
-	if st.cOrig != nil {
-		st.std.c = st.cOrig
-		st.cOrig = nil
-	}
-}
-
 // needsRefactor reports that the periodic cadence or the kernel's own
 // growth/drift policy asks for a refactorization before the next pivot.
 func (st *state) needsRefactor() bool {
@@ -1624,304 +1466,6 @@ func (st *state) dualCleanup() bool {
 		st.atUpper[leavingCol] = !below && !std.art[leavingCol]
 		st.iters++
 		y = st.duals(std.c)
-	}
-}
-
-// dualColdStart replaces both phases of the primal simplex on a cold solve:
-// starting from the slack/artificial basis (already installed by coldInit),
-// it reaches dual feasibility with bound flips alone — the initial duals are
-// zero, so a nonbasic column's reduced cost is its objective coefficient,
-// and any column priced wrong at its lower bound just flips to its upper —
-// then runs the bounded-variable dual simplex with dual devex row weights
-// until primal feasibility. Because every artificial is held to an effective
-// upper bound of zero, driving the basics into bounds IS phase 1; and
-// because dual feasibility is maintained throughout, the terminal basis is
-// optimal for the perturbed costs, leaving the final primal phase 2 a
-// handful of cleanup pivots on the pristine ones.
-//
-// Returns stagedDone with a primal-feasible (and dual-feasible) basis,
-// stagedFallback when the route cannot proceed (a negative-cost column with
-// an infinite upper bound, a dead ratio test, numerics — the primal path is
-// the authoritative fallback), or stagedAbort. The caller owns restoreC.
-func (st *state) dualColdStart() stagedOutcome {
-	std := st.std
-	m := std.m
-	const pivTol = 1e-9
-	st.perturbC()
-	costs := std.c
-
-	// Bound flips to dual feasibility. A column that prices wrong at its
-	// lower bound but has no finite upper cannot be made dual feasible
-	// without pivoting — decline and let the primal route handle it.
-	for j := 0; j < std.n; j++ {
-		if std.art[j] || st.basePos[j] != 0 {
-			continue
-		}
-		if costs[j] < -st.tol {
-			if math.IsInf(std.up[j], 1) {
-				return stagedFallback
-			}
-			st.atUpper[j] = true
-		}
-	}
-	st.recomputeXB()
-	st.ensureRowA()
-	st.devexReset(costs)
-	if st.dualW == nil {
-		st.dualW = make([]float64, m)
-	}
-	for i := range st.dualW {
-		st.dualW[i] = 1
-	}
-
-	for {
-		if st.iters >= st.maxIter {
-			return st.abortWith(IterLimit)
-		}
-		if st.timedOut() {
-			return st.abortWith(TimeLimit)
-		}
-		if st.needsRefactor() {
-			switch st.refactor() {
-			case refactorOK:
-				st.dRedRefresh(costs)
-			case refactorTimeout:
-				return st.abortWith(TimeLimit)
-			default:
-				return stagedFallback
-			}
-		}
-
-		// Leaving row: largest primal infeasibility²/weight (dual devex — the
-		// row weights approximate the steepest-edge norms of the dual step).
-		r, below := -1, false
-		best := 0.0
-		for i := 0; i < m; i++ {
-			viol := -st.xB[i]
-			vBelow := true
-			if v := st.xB[i] - st.effUpper(st.basis[i]); v > viol {
-				viol, vBelow = v, false
-			}
-			if viol <= warmFeasTol {
-				continue
-			}
-			if score := viol * viol / st.dualW[i]; score > best {
-				best, r, below = score, i, vBelow
-			}
-		}
-		if r < 0 {
-			// Primal feasible; clamp roundoff residue like the primal loop.
-			for i := 0; i < m; i++ {
-				if st.xB[i] < 0 {
-					st.xB[i] = 0
-				}
-			}
-			return stagedDone
-		}
-
-		// Bound-flipping (long-step) dual ratio test over row r of the
-		// tableau, assembled sparsely from the row of the inverse (alphaBuf
-		// is exactly zero off alphaNz, so only touched columns can be
-		// eligible). Eligibility matches dualCleanup; the breakpoints —
-		// ratios |d_j|/|α_j| at which each eligible column's reduced cost
-		// would cross zero — go on a min-heap, and the walk passes a
-		// breakpoint whenever its column is boxed and flipping it to the
-		// other bound leaves the leaving row still infeasible (the dual
-		// objective's slope along the step stays positive). Each flip
-		// retires a bound violation without a pivot; the entering column is
-		// the breakpoint where the slope would die. The cost perturbation
-		// breaks the massive SAM ties that would otherwise stall the steps.
-		rho := st.rowOfInverse(r)
-		st.pivotRow(rho)
-		bpR, bpJ := st.dbpR[:0], st.dbpJ[:0]
-		for _, jj := range st.alphaNz {
-			j := int(jj)
-			if st.basePos[j] != 0 || std.art[j] {
-				continue
-			}
-			alpha := st.alphaBuf[j]
-			ok := false
-			if below {
-				// xB[r] must increase: raising an at-lower column with
-				// alpha<0, or lowering an at-upper column with alpha>0.
-				ok = (!st.atUpper[j] && alpha < -pivTol) || (st.atUpper[j] && alpha > pivTol)
-			} else {
-				ok = (!st.atUpper[j] && alpha > pivTol) || (st.atUpper[j] && alpha < -pivTol)
-			}
-			if !ok {
-				continue
-			}
-			bpR, bpJ = dbpPush(bpR, bpJ, math.Abs(st.dRed[j])/math.Abs(alpha), jj)
-		}
-		slope := -st.xB[r]
-		if !below {
-			slope = st.xB[r] - st.effUpper(st.basis[r])
-		}
-		q := -1
-		flips := st.dflip[:0]
-		for len(bpR) > 0 {
-			var jj int32
-			_, jj, bpR, bpJ = dbpPop(bpR, bpJ)
-			j := int(jj)
-			span := std.up[j]
-			if !math.IsInf(span, 1) {
-				if remain := slope - span*math.Abs(st.alphaBuf[j]); remain > 0 {
-					slope = remain
-					flips = append(flips, jj)
-					continue
-				}
-			}
-			q = j
-			break
-		}
-		st.dbpR, st.dbpJ = bpR[:0], bpJ[:0]
-		st.dflip = flips
-		if q < 0 {
-			// Dual unbounded up to tolerance (even after exhausting every
-			// boxed breakpoint): primal infeasible for the perturbed
-			// problem. The perturbation is far below any model data, but
-			// infeasibility verdicts belong to the primal phase 1.
-			return stagedFallback
-		}
-		if len(flips) > 0 {
-			// Flip the passed boxed columns in one batch: move each to its
-			// other bound and push the combined column movement through one
-			// FTRAN (xB -= B⁻¹·Σ±u_j·a_j). xB[r] lands closer to its bound
-			// by exactly the slope already consumed, so the entering step
-			// below shortens accordingly. The combined movement is sparse
-			// (a handful of short columns), so in hyper-sparse mode it goes
-			// through ftranColNz instead of a dense triangular solve.
-			if st.flipRhs == nil {
-				st.flipRhs = make([]float64, m)
-				st.flipOut = make([]float64, m)
-			}
-			rows := st.flipRows[:0]
-			for _, jj := range flips {
-				j := int(jj)
-				u := std.up[j]
-				if st.atUpper[j] {
-					u = -u
-				}
-				for _, e := range std.cols[j] {
-					if st.flipRhs[e.row] == 0 {
-						rows = append(rows, int32(e.row))
-					}
-					st.flipRhs[e.row] += u * e.val
-				}
-				st.atUpper[j] = !st.atUpper[j]
-			}
-			st.dualFlips += len(flips)
-			if st.useNz {
-				ent := st.flipEnt[:0]
-				for _, i := range rows {
-					// Exact cancellations drop out here; a row re-appended
-					// after cancelling contributes nothing the second time.
-					if v := st.flipRhs[i]; v != 0 {
-						ent = append(ent, entry{row: int(i), val: v})
-					}
-					st.flipRhs[i] = 0
-				}
-				st.flipEnt = ent
-				st.flipNz = st.fac.ftranColNz(ent, st.flipOut, st.flipNz)
-				for _, i := range st.flipNz {
-					st.xB[i] -= st.flipOut[i]
-				}
-			} else {
-				st.fac.ftranDense(st.flipRhs, st.flipOut)
-				for i := 0; i < m; i++ {
-					st.xB[i] -= st.flipOut[i]
-					st.flipRhs[i] = 0
-				}
-			}
-			st.flipRows = rows[:0]
-		}
-
-		w := st.ftranCol(q)
-		wr := w[r]
-		if math.Abs(wr) < pivTol {
-			return stagedFallback // numerically unusable pivot
-		}
-		sigma := 1.0
-		if st.atUpper[q] {
-			sigma = -1
-		}
-		target := 0.0
-		if !below {
-			target = st.effUpper(st.basis[r])
-		}
-		t := (st.xB[r] - target) / (sigma * wr)
-		if t < 0 {
-			if t < -warmFeasTol {
-				return stagedFallback // eligibility and pivot sign disagree
-			}
-			t = 0
-		}
-		st.stepXB(t, sigma, w)
-		enterVal := t
-		if st.atUpper[q] {
-			enterVal = std.up[q] - t
-		}
-
-		// Maintained reduced costs through the pivot row, then the dual
-		// devex row weights through the tableau column (the dual step's
-		// transformation is the transpose of the primal one, so the roles
-		// of α and w swap).
-		alphaQ := st.alphaBuf[q]
-		thetaD := st.dRed[q] / alphaQ
-		leavingCol := st.basis[r]
-		for _, jj := range st.alphaNz {
-			j := int(jj)
-			if st.basePos[j] != 0 || j == q {
-				continue
-			}
-			st.dRed[j] -= thetaD * st.alphaBuf[j]
-		}
-		st.dRed[leavingCol] = -thetaD
-		st.dRed[q] = 0
-		wrr := st.dualW[r]
-		resetDualW := false
-		dualStep := func(i int) {
-			if i == r {
-				return
-			}
-			if wgt := (w[i] / wr) * (w[i] / wr) * wrr; wgt > st.dualW[i] {
-				st.dualW[i] = wgt
-				if wgt > dvxResetLimit {
-					resetDualW = true
-				}
-			}
-		}
-		if st.useNz {
-			for _, i32 := range st.wNz {
-				dualStep(int(i32))
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				dualStep(i)
-			}
-		}
-		if wgt := wrr / (wr * wr); wgt > 1 {
-			st.dualW[r] = wgt
-			if wgt > dvxResetLimit {
-				resetDualW = true
-			}
-		} else {
-			st.dualW[r] = 1
-		}
-		if resetDualW {
-			// Same restart rule as the primal weights: past the limit the
-			// reference framework no longer approximates anything useful.
-			for i := range st.dualW {
-				st.dualW[i] = 1
-			}
-		}
-
-		st.applyPivot(q, r, w)
-		st.xB[r] = enterVal
-		// The leaving variable rests at the bound it was pushed to; an
-		// artificial's "upper" bound is its lower bound, zero.
-		st.atUpper[leavingCol] = !below && !std.art[leavingCol]
-		st.iters++
 	}
 }
 
@@ -2105,11 +1649,10 @@ func (st *state) optimize(costs []float64, skipArt bool) Status {
 		}
 		st.stepXB(tMax, sigma, w)
 		// Dual-side update before the representation changes, through the
-		// leaving row ρ_r of the *old* inverse (one BTRAN on the sparse
-		// kernel, a row read on the dense one). Classic mode updates the
-		// maintained duals; devex mode assembles the tableau pivot row
-		// α = ρ_r·A and pushes it through the maintained reduced costs and
-		// reference weights instead.
+		// leaving row ρ_r of the *old* inverse (one BTRAN). Classic mode
+		// updates the maintained duals; devex mode assembles the tableau
+		// pivot row α = ρ_r·A and pushes it through the maintained reduced
+		// costs and reference weights instead.
 		rho := st.rowOfInverse(leave)
 		leavingCol := st.basis[leave]
 		resetDevex := false

@@ -111,7 +111,7 @@ func (m *Menu) Purchase(v, d float64) float64 {
 //
 // Segments come out in nondecreasing price order by construction
 // (marginal prices only rise as segments fill). The work is done by the
-// incremental heap engine (see Quoter); quoteMenuReference retains the
+// incremental heap engine (see Quoter); the package tests keep the
 // original scan as the executable spec. Callers on the admission hot
 // path should hold an Admitter (or Quoter) for scratch reuse; this free
 // function draws from a shared pool.

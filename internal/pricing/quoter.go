@@ -25,8 +25,8 @@ import (
 // Determinism: candidate prices and rooms are recomputed with exactly
 // the reference scan's float operations in the same order, and the heap
 // order (price, then candidate index) equals the scan's exact
-// first-minimum rule, so menus are byte-identical to quoteMenuReference
-// — enforced by the differential tests.
+// first-minimum rule, so menus are byte-identical to the reference scan
+// the differential tests keep as the executable spec.
 type Quoter struct {
 	// Per-quote geometry: W window steps starting at start, R routes.
 	start, window int

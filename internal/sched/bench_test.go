@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,119 +143,105 @@ func reportPhases(b *testing.B, p lp.PhaseTimings) {
 }
 
 // BenchmarkSAMSolve measures Instance.Solve (model build + LP solve, the
-// per-timestep SAM cost) across scales on both basis kernels. The sparse
-// sub-benchmarks are the production path; the dense ones are the reference
-// kernel the sparse LU replaced, kept for before/after tracking in
-// BENCH_solver.json.
+// per-timestep SAM cost) across scales on the sparse LU kernel.
 func BenchmarkSAMSolve(b *testing.B) {
 	for _, sc := range benchScales {
 		ins := benchInstance(sc, 42)
-		for _, kernel := range []struct {
-			name  string
-			dense bool
-		}{{"sparse", false}, {"dense", true}} {
-			if kernel.dense && (sc.name == "Large" || sc.paper) {
-				// The dense reference kernel needs minutes per solve at
-				// Large scale and would need hours at Paper scale (O(m²)
-				// pivots on a ~31k-row model); the sparse numbers alone
-				// tell the story there.
-				continue
+		b.Run(sc.name+"/sparse", func(b *testing.B) {
+			iters, refactors := 0, 0
+			var phase lp.PhaseTimings
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := ins.Solve(lp.Options{Presolve: sc.paper})
+				if err != nil {
+					b.Fatalf("Solve: %v", err)
+				}
+				if res.Status != lp.Optimal {
+					b.Fatalf("status %v", res.Status)
+				}
+				iters = res.Iterations
+				refactors = res.Refactors
+				phase = res.Timings
 			}
-			b.Run(fmt.Sprintf("%s/%s", sc.name, kernel.name), func(b *testing.B) {
-				iters, refactors := 0, 0
-				var phase lp.PhaseTimings
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := ins.Solve(lp.Options{DenseKernel: kernel.dense, Presolve: sc.paper})
-					if err != nil {
-						b.Fatalf("Solve: %v", err)
-					}
-					if res.Status != lp.Optimal {
-						b.Fatalf("status %v", res.Status)
-					}
-					iters = res.Iterations
-					refactors = res.Refactors
-					phase = res.Timings
-				}
-				b.ReportMetric(float64(iters), "pivots")
-				b.ReportMetric(float64(refactors), "refactors")
-				reportPhases(b, phase)
-			})
-			if kernel.dense || sc.paper {
-				// The telemetry-overhead sub-bench exists to bound the
-				// Stats hook's cost, which the mid scales already measure;
-				// repeating a ~20s Paper cold solve for it buys nothing.
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/%s-obs", sc.name, kernel.name), func(b *testing.B) {
-				// Solver telemetry enabled (lp.Options.Stats): the
-				// acceptance bar is <5% over the plain sparse solve.
-				var stats lp.SolveStats
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := ins.Solve(lp.Options{Stats: &stats})
-					if err != nil {
-						b.Fatalf("Solve: %v", err)
-					}
-					if res.Status != lp.Optimal {
-						b.Fatalf("status %v", res.Status)
-					}
-				}
-				if stats.Solves != b.N {
-					b.Fatalf("stats recorded %d solves, want %d", stats.Solves, b.N)
-				}
-			})
+			b.ReportMetric(float64(iters), "pivots")
+			b.ReportMetric(float64(refactors), "refactors")
+			reportPhases(b, phase)
+		})
+		if sc.paper {
+			// The telemetry-overhead sub-bench exists to bound the
+			// Stats hook's cost, which the smaller scales already measure;
+			// repeating a ~20s Paper cold solve for it buys nothing.
+			continue
 		}
+		b.Run(sc.name+"/sparse-obs", func(b *testing.B) {
+			// Solver telemetry enabled (lp.Options.Stats): the
+			// acceptance bar is <5% over the plain sparse solve.
+			var stats lp.SolveStats
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := ins.Solve(lp.Options{Stats: &stats})
+				if err != nil {
+					b.Fatalf("Solve: %v", err)
+				}
+				if res.Status != lp.Optimal {
+					b.Fatalf("status %v", res.Status)
+				}
+			}
+			if stats.Solves != b.N {
+				b.Fatalf("stats recorded %d solves, want %d", stats.Solves, b.N)
+			}
+		})
 	}
 }
 
 // BenchmarkSAMResolveWarm measures the warm-started re-solve path: the
 // steady-state SAM loop cost, where each timestep's LP starts from the
-// previous optimal basis.
+// previous optimal basis. Each scale's model is built and cold-solved once,
+// on the first round; later b.N rounds reuse it rather than repeating the
+// (at Paper scale ~25 s) cold solve.
 func BenchmarkSAMResolveWarm(b *testing.B) {
 	for _, sc := range benchScales {
 		if sc.name == "Large" {
 			continue // the cold benches cover it; warm adds nothing new there
 		}
-		for _, kernel := range []struct {
-			name  string
-			dense bool
-		}{{"sparse", false}, {"dense", true}} {
-			if kernel.dense && sc.paper {
-				continue // no dense reference at Paper scale (see above)
-			}
-			b.Run(fmt.Sprintf("%s/%s", sc.name, kernel.name), func(b *testing.B) {
-				ins := benchInstance(sc, 42)
-				built, err := ins.Build()
-				if err != nil {
+		opts := lp.Options{Presolve: sc.paper}
+		var built *Built
+		var coldBasis *lp.Basis
+		b.Run(sc.name+"/sparse", func(b *testing.B) {
+			if built == nil {
+				var err error
+				if built, err = benchInstance(sc, 42).Build(); err != nil {
 					b.Fatalf("Build: %v", err)
 				}
-				cold, err := built.Solve(lp.Options{DenseKernel: kernel.dense, Presolve: sc.paper})
+				cold, err := built.Solve(opts)
 				if err != nil || cold.Status != lp.Optimal {
 					b.Fatalf("cold solve: %v %v", err, cold.Status)
 				}
-				basis := cold.Basis
-				iters, refactors := 0, 0
-				var phase lp.PhaseTimings
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := built.Solve(lp.Options{DenseKernel: kernel.dense, Presolve: sc.paper, WarmBasis: basis})
-					if err != nil {
-						b.Fatalf("warm solve: %v", err)
-					}
-					if res.Status != lp.Optimal {
-						b.Fatalf("warm status %v", res.Status)
-					}
-					basis = res.Basis
-					iters = res.Iterations
-					refactors = res.Refactors
-					phase = res.Timings
+				coldBasis = cold.Basis
+			}
+			basis := coldBasis
+			iters, refactors := 0, 0
+			var phase lp.PhaseTimings
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := opts
+				o.WarmBasis = basis
+				res, err := built.Solve(o)
+				if err != nil {
+					b.Fatalf("warm solve: %v", err)
 				}
-				b.ReportMetric(float64(iters), "pivots")
-				b.ReportMetric(float64(refactors), "refactors")
-				reportPhases(b, phase)
-			})
-		}
+				if res.Status != lp.Optimal {
+					b.Fatalf("warm status %v", res.Status)
+				}
+				basis = res.Basis
+				iters = res.Iterations
+				refactors = res.Refactors
+				phase = res.Timings
+			}
+			b.ReportMetric(float64(iters), "pivots")
+			b.ReportMetric(float64(refactors), "refactors")
+			reportPhases(b, phase)
+		})
 	}
 }
 

@@ -151,11 +151,9 @@ type Result struct {
 	// Timings is the solver's per-phase wall-clock breakdown (pricing/
 	// FTRAN/BTRAN/refactorization nanoseconds).
 	Timings lp.PhaseTimings
-	// PricingUsed is the entering-variable rule the solver resolved to
-	// (lp.PricingDantzig or lp.PricingDevex; see lp.Options.Pricing).
+	// PricingUsed is the entering-variable rule the solver picked
+	// (lp.PricingDantzig or lp.PricingDevex; see lp.PricingRule).
 	PricingUsed lp.PricingRule
-	// DualCold reports that a cold solve took the dual-simplex route.
-	DualCold bool
 	// Suspect flags an Optimal solve whose solution failed the lp residual
 	// health check (see lp.Solution.Suspect): allocations are populated but
 	// the control loop should treat the solve as failed and retry cold or
@@ -697,7 +695,6 @@ func (b *Built) Solve(opts lp.Options) (*Result, error) {
 		Refactors:   sol.Refactors,
 		Timings:     sol.Timings,
 		PricingUsed: sol.PricingUsed,
-		DualCold:    sol.DualCold,
 		Suspect:     sol.Suspect,
 		Basis:       sol.Basis(),
 		Delivered:   make([]float64, len(ins.Demands)),
